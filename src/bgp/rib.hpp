@@ -9,7 +9,9 @@
 //
 // The containers are generic over the prefix type: Rib/Route operate on IPv4
 // (the paper's dominant case, >98% of blackholed prefixes), Rib6/Route6 on
-// IPv6 unicast carried in MP_REACH/MP_UNREACH.
+// IPv6 unicast carried in MP_REACH/MP_UNREACH. Afi<PrefixT> holds every
+// wire-level fact that differs between the two, so code above the codec is
+// written once over the prefix type.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +31,126 @@ namespace stellar::bgp {
 /// Identifies the peer a route was learned from (session index assigned by
 /// the owner of the Rib).
 using PeerId = std::uint32_t;
+
+/// Address-family traits: where an UPDATE carries a prefix, its path-id and
+/// its next hop, the ROUTE-REFRESH AFI code, and the more-specific boundary.
+template <typename PrefixT>
+struct Afi;
+
+/// IPv4 unicast: classic NLRI fields and the NEXT_HOP attribute.
+template <>
+struct Afi<net::Prefix4> {
+  using Address = net::IPv4Address;
+  static constexpr std::uint16_t kCode = kAfiIPv4;
+  /// Longest prefix a default-configured router accepts; anything more
+  /// specific is only meaningful as a blackholing request.
+  static constexpr std::uint8_t kMaxCommonLength = 24;
+
+  /// Calls fn(prefix, path_id) for every withdrawn prefix.
+  template <typename Fn>
+  static void for_each_withdrawn(const UpdateMessage& update, Fn&& fn) {
+    for (const auto& nlri : update.withdrawn) fn(nlri.prefix, nlri.path_id);
+  }
+  /// Calls fn(prefix, path_id) for every announced prefix.
+  template <typename Fn>
+  static void for_each_announced(const UpdateMessage& update, Fn&& fn) {
+    for (const auto& nlri : update.announced) fn(nlri.prefix, nlri.path_id);
+  }
+  [[nodiscard]] static UpdateMessage withdraw(const net::Prefix4& prefix) {
+    UpdateMessage update;
+    update.withdrawn.push_back(Nlri4{0, prefix});
+    return update;
+  }
+  /// Announces `prefix` with `attrs`, whose next hop is already placed.
+  [[nodiscard]] static UpdateMessage announce(PathAttributes attrs, const net::Prefix4& prefix) {
+    UpdateMessage update;
+    update.attrs = std::move(attrs);
+    update.announced.push_back(Nlri4{0, prefix});
+    return update;
+  }
+  [[nodiscard]] static std::optional<Address> next_hop(const PathAttributes& attrs) {
+    return attrs.next_hop;
+  }
+  /// Places `next_hop`; nullopt keeps the one already in `attrs`.
+  static void set_next_hop(PathAttributes& attrs, const std::optional<Address>& next_hop) {
+    if (next_hop) attrs.next_hop = *next_hop;
+  }
+};
+
+/// IPv6 unicast: MP_REACH/MP_UNREACH (RFC 4760), no ADD-PATH; the next hop
+/// travels inside MP_REACH.
+template <>
+struct Afi<net::Prefix6> {
+  using Address = net::IPv6Address;
+  static constexpr std::uint16_t kCode = kAfiIPv6;
+  static constexpr std::uint8_t kMaxCommonLength = 48;
+
+  template <typename Fn>
+  static void for_each_withdrawn(const UpdateMessage& update, Fn&& fn) {
+    if (!update.attrs.mp_unreach_ipv6) return;
+    for (const auto& prefix : update.attrs.mp_unreach_ipv6->withdrawn) fn(prefix, PathId{0});
+  }
+  template <typename Fn>
+  static void for_each_announced(const UpdateMessage& update, Fn&& fn) {
+    if (!update.attrs.mp_reach_ipv6) return;
+    for (const auto& prefix : update.attrs.mp_reach_ipv6->nlri) fn(prefix, PathId{0});
+  }
+  [[nodiscard]] static UpdateMessage withdraw(const net::Prefix6& prefix) {
+    UpdateMessage update;
+    update.attrs.mp_unreach_ipv6 = MpUnreachIPv6{{prefix}};
+    return update;
+  }
+  [[nodiscard]] static UpdateMessage announce(PathAttributes attrs, const net::Prefix6& prefix) {
+    if (!attrs.mp_reach_ipv6) attrs.mp_reach_ipv6.emplace();
+    attrs.mp_reach_ipv6->nlri = {prefix};
+    UpdateMessage update;
+    update.attrs = std::move(attrs);
+    return update;
+  }
+  [[nodiscard]] static std::optional<Address> next_hop(const PathAttributes& attrs) {
+    if (!attrs.mp_reach_ipv6) return std::nullopt;
+    return attrs.mp_reach_ipv6->next_hop;
+  }
+  /// The route's forwarding state lives only in MP_REACH: the classic
+  /// NEXT_HOP and any MP_UNREACH are dropped, and the NLRI is left for
+  /// announce() to fill.
+  static void set_next_hop(PathAttributes& attrs, const std::optional<Address>& next_hop) {
+    const Address placed = next_hop ? *next_hop : Afi::next_hop(attrs).value_or(Address());
+    attrs.next_hop.reset();
+    attrs.mp_unreach_ipv6.reset();
+    attrs.mp_reach_ipv6 = MpReachIPv6{placed, {}};
+  }
+};
+
+/// Selects the IPv4 or the IPv6 one of a pair of per-AFI values.
+template <typename PrefixT, typename V4, typename V6>
+[[nodiscard]] constexpr const auto& PickAfi(const V4& v4, const V6& v6) {
+  if constexpr (Afi<PrefixT>::kCode == kAfiIPv4) {
+    return v4;
+  } else {
+    return v6;
+  }
+}
+
+/// One T<PrefixT> per address family, selected with get<PrefixT>().
+template <template <typename> class T>
+struct PerAfi {
+  T<net::Prefix4> v4;
+  T<net::Prefix6> v6;
+
+  template <typename PrefixT>
+  [[nodiscard]] T<PrefixT>& get() {
+    if constexpr (Afi<PrefixT>::kCode == kAfiIPv4) {
+      return v4;
+    } else {
+      return v6;
+    }
+  }
+  template <typename PrefixT>
+  [[nodiscard]] const T<PrefixT>& get() const {
+    return PickAfi<PrefixT>(v4, v6);
+  }
+};
 
 template <typename PrefixT>
 struct BasicRoute {
@@ -130,41 +252,25 @@ class BasicRib {
     return removed;
   }
 
-  /// Applies an UPDATE received from `peer`. For the IPv4 instantiation this
-  /// reads the classic NLRI fields; for IPv6 the MP_REACH/MP_UNREACH
-  /// attributes. Returns the number of changes applied.
+  /// Applies an UPDATE received from `peer`: the classic NLRI fields for
+  /// IPv4, MP_REACH/MP_UNREACH for IPv6 (see Afi). Returns the number of
+  /// changes applied.
   std::size_t apply_update(PeerId peer, const UpdateMessage& update) {
     std::size_t changes = 0;
-    if constexpr (std::is_same_v<PrefixT, net::Prefix4>) {
-      for (const auto& nlri : update.withdrawn) {
-        if (withdraw(nlri.prefix, peer, nlri.path_id)) ++changes;
-      }
-      for (const auto& nlri : update.announced) {
-        RouteT r;
-        r.prefix = nlri.prefix;
-        r.peer = peer;
-        r.path_id = nlri.path_id;
-        r.attrs = update.attrs;
-        if (insert(std::move(r))) ++changes;
-      }
-    } else {
-      if (update.attrs.mp_unreach_ipv6) {
-        for (const auto& prefix : update.attrs.mp_unreach_ipv6->withdrawn) {
-          if (withdraw(prefix, peer, 0)) ++changes;
-        }
-      }
-      if (update.attrs.mp_reach_ipv6) {
-        for (const auto& prefix : update.attrs.mp_reach_ipv6->nlri) {
-          RouteT r;
-          r.prefix = prefix;
-          r.peer = peer;
-          r.path_id = 0;
-          r.attrs = update.attrs;
-          if (insert(std::move(r))) ++changes;
-        }
-      }
-    }
+    Afi<PrefixT>::for_each_withdrawn(update, [&](const PrefixT& prefix, PathId path_id) {
+      if (withdraw(prefix, peer, path_id)) ++changes;
+    });
+    Afi<PrefixT>::for_each_announced(update, [&](const PrefixT& prefix, PathId path_id) {
+      if (insert(RouteT{prefix, peer, path_id, update.attrs})) ++changes;
+    });
     return changes;
+  }
+
+  /// Interned attributes of the identified route, or nullptr.
+  [[nodiscard]] std::shared_ptr<const PathAttributes> find(const PrefixT& prefix, PeerId peer,
+                                                           PathId path_id = 0) const {
+    const auto it = routes_.find(Key{prefix, peer, path_id});
+    return it == routes_.end() ? nullptr : it->second;
   }
 
   /// All paths currently held for a prefix.

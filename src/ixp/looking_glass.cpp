@@ -9,12 +9,18 @@
 
 namespace stellar::ixp {
 
-std::vector<std::string> LookingGlass::show_route(const net::Prefix4& prefix) const {
+namespace {
+
+template <typename PrefixT>
+std::vector<std::string> ShowRoute(const RouteServer& server, const bgp::BasicRib<PrefixT>& rib,
+                                   const PrefixT& prefix) {
   std::vector<std::string> out;
-  for (const auto& route : server_.adj_rib_in().routes_for(prefix)) {
+  for (const auto& route : rib.routes_for(prefix)) {
     std::ostringstream line;
-    line << prefix.str() << " via AS" << server_.member_asn_of_peer(route.peer);
-    if (route.attrs.next_hop) line << " next-hop " << route.attrs.next_hop->str();
+    line << prefix.str() << " via AS" << server.member_asn_of_peer(route.peer);
+    if (const auto next_hop = bgp::Afi<PrefixT>::next_hop(route.attrs)) {
+      line << " next-hop " << next_hop->str();
+    }
     if (!route.attrs.communities.empty()) {
       line << " communities";
       for (const auto& c : route.attrs.communities) line << ' ' << c.str();
@@ -28,21 +34,14 @@ std::vector<std::string> LookingGlass::show_route(const net::Prefix4& prefix) co
   return out;
 }
 
+}  // namespace
+
+std::vector<std::string> LookingGlass::show_route(const net::Prefix4& prefix) const {
+  return ShowRoute(server_, server_.adj_rib_in(), prefix);
+}
+
 std::vector<std::string> LookingGlass::show_route6(const net::Prefix6& prefix) const {
-  std::vector<std::string> out;
-  for (const auto& route : server_.adj_rib_in6().routes_for(prefix)) {
-    std::ostringstream line;
-    line << prefix.str() << " via AS" << server_.member_asn_of_peer(route.peer);
-    if (route.attrs.mp_reach_ipv6) {
-      line << " next-hop " << route.attrs.mp_reach_ipv6->next_hop.str();
-    }
-    if (!route.attrs.communities.empty()) {
-      line << " communities";
-      for (const auto& c : route.attrs.communities) line << ' ' << c.str();
-    }
-    out.push_back(line.str());
-  }
-  return out;
+  return ShowRoute(server_, server_.adj_rib_in6(), prefix);
 }
 
 std::vector<std::string> LookingGlass::show_rib_summary() const {

@@ -55,200 +55,159 @@ void MemberRouter::connect_resilient(bgp::ReconnectingSession::TransportFactory 
     // connect_resilient may have replaced a live session, withdrawing our
     // routes): ask for everything we may have missed, then replay everything
     // the route server lost with our old session.
-    session.request_route_refresh(bgp::kAfiIPv4);
-    if (info_.address_space6) session.request_route_refresh(bgp::kAfiIPv6);
+    request_refresh(session);
     replay_announcements();
   });
   reconnector_->start();
 }
 
+void MemberRouter::request_refresh(bgp::Session& session) {
+  session.request_route_refresh(bgp::Afi<net::Prefix4>::kCode);
+  if (info_.address_space6) session.request_route_refresh(bgp::Afi<net::Prefix6>::kCode);
+}
+
 void MemberRouter::replay_announcements() {
-  for (const auto& [prefix, attrs] : announced_) {
-    send_announce(prefix, attrs.communities, attrs.extended);
-  }
-  for (const auto& [prefix, attrs] : announced6_) {
-    send_announce6(prefix, attrs.communities, attrs.extended);
-  }
+  for (const auto& [prefix, attrs] : announced_.v4) send_announce(prefix, attrs);
+  for (const auto& [prefix, attrs] : announced_.v6) send_announce(prefix, attrs);
 }
 
 void MemberRouter::announce(const net::Prefix4& prefix, std::vector<bgp::Community> communities,
                             std::vector<bgp::ExtendedCommunity> extended) {
-  if (!active_session()) throw std::logic_error("MemberRouter: connect() before announcing");
-  announced_[prefix] = AnnouncedAttrs{communities, extended};
-  send_announce(prefix, std::move(communities), std::move(extended));
-}
-
-void MemberRouter::send_announce(const net::Prefix4& prefix,
-                                 std::vector<bgp::Community> communities,
-                                 std::vector<bgp::ExtendedCommunity> extended) {
-  // Extended communities mean a Stellar signal: open the signal-path trace
-  // at the moment the member's BGP stack emits the announcement.
-  if (!extended.empty()) {
-    obs::tracer().mark(prefix.str(), "member_announce", queue_.now().count());
-  }
-  bgp::UpdateMessage update;
-  update.attrs.origin = bgp::Origin::kIgp;
-  update.attrs.as_path = {{bgp::AsPathSegment::Type::kSequence, {info_.asn}}};
-  update.attrs.next_hop = info_.router_ip;
-  update.attrs.communities = std::move(communities);
-  update.attrs.extended_communities = std::move(extended);
-  update.announced.push_back(bgp::Nlri4{0, prefix});
-  active_session()->announce(std::move(update));
-}
-
-void MemberRouter::withdraw(const net::Prefix4& prefix) {
-  if (!active_session()) throw std::logic_error("MemberRouter: connect() before announcing");
-  announced_.erase(prefix);
-  bgp::UpdateMessage update;
-  update.withdrawn.push_back(bgp::Nlri4{0, prefix});
-  active_session()->announce(std::move(update));
+  announce_prefix(prefix, {std::move(communities), std::move(extended)});
 }
 
 void MemberRouter::announce6(const net::Prefix6& prefix,
                              std::vector<bgp::Community> communities,
                              std::vector<bgp::ExtendedCommunity> extended) {
-  if (!active_session()) throw std::logic_error("MemberRouter: connect() before announcing");
-  announced6_[prefix] = AnnouncedAttrs{communities, extended};
-  send_announce6(prefix, std::move(communities), std::move(extended));
+  announce_prefix(prefix, {std::move(communities), std::move(extended)});
 }
 
-void MemberRouter::send_announce6(const net::Prefix6& prefix,
-                                  std::vector<bgp::Community> communities,
-                                  std::vector<bgp::ExtendedCommunity> extended) {
-  bgp::UpdateMessage update;
-  update.attrs.origin = bgp::Origin::kIgp;
-  update.attrs.as_path = {{bgp::AsPathSegment::Type::kSequence, {info_.asn}}};
-  update.attrs.communities = std::move(communities);
-  update.attrs.extended_communities = std::move(extended);
-  bgp::MpReachIPv6 reach;
-  // Peering-LAN v6 next-hop derived from the member's v4 address
-  // (IPv4-mapped form keeps the simulation self-describing).
-  net::IPv6Address::Bytes nh{};
-  nh[10] = 0xff;
-  nh[11] = 0xff;
-  const std::uint32_t v4 = info_.router_ip.value();
-  nh[12] = static_cast<std::uint8_t>(v4 >> 24);
-  nh[13] = static_cast<std::uint8_t>(v4 >> 16);
-  nh[14] = static_cast<std::uint8_t>(v4 >> 8);
-  nh[15] = static_cast<std::uint8_t>(v4);
-  reach.next_hop = net::IPv6Address(nh);
-  reach.nlri.push_back(prefix);
-  update.attrs.mp_reach_ipv6 = std::move(reach);
-  active_session()->announce(std::move(update));
+void MemberRouter::withdraw(const net::Prefix4& prefix) { withdraw_prefix(prefix); }
+
+void MemberRouter::withdraw6(const net::Prefix6& prefix) { withdraw_prefix(prefix); }
+
+template <typename PrefixT>
+void MemberRouter::announce_prefix(const PrefixT& prefix, AnnouncedAttrs attrs) {
+  if (!active_session()) throw std::logic_error("MemberRouter: connect() before announcing");
+  send_announce(prefix, announced_.get<PrefixT>()[prefix] = std::move(attrs));
 }
 
-void MemberRouter::withdraw6(const net::Prefix6& prefix) {
+template <typename PrefixT>
+void MemberRouter::send_announce(const PrefixT& prefix, const AnnouncedAttrs& announced) {
+  using Afi = bgp::Afi<PrefixT>;
+  bgp::PathAttributes attrs;
+  attrs.origin = bgp::Origin::kIgp;
+  attrs.as_path = {{bgp::AsPathSegment::Type::kSequence, {info_.asn}}};
+  attrs.communities = announced.communities;
+  attrs.extended_communities = announced.extended;
+  if constexpr (Afi::kCode == bgp::kAfiIPv4) {
+    // Extended communities mean a Stellar signal (IPv4 only): open the
+    // signal-path trace at the moment the member's BGP stack emits the
+    // announcement.
+    if (!announced.extended.empty()) {
+      obs::tracer().mark(prefix.str(), "member_announce", queue_.now().count());
+    }
+    Afi::set_next_hop(attrs, info_.router_ip);
+  } else {
+    // Peering-LAN v6 next-hop derived from the member's v4 address
+    // (IPv4-mapped form keeps the simulation self-describing).
+    net::IPv6Address::Bytes nh{};
+    nh[10] = 0xff;
+    nh[11] = 0xff;
+    const std::uint32_t v4 = info_.router_ip.value();
+    nh[12] = static_cast<std::uint8_t>(v4 >> 24);
+    nh[13] = static_cast<std::uint8_t>(v4 >> 16);
+    nh[14] = static_cast<std::uint8_t>(v4 >> 8);
+    nh[15] = static_cast<std::uint8_t>(v4);
+    Afi::set_next_hop(attrs, net::IPv6Address(nh));
+  }
+  active_session()->announce(Afi::announce(std::move(attrs), prefix));
+}
+
+template <typename PrefixT>
+void MemberRouter::withdraw_prefix(const PrefixT& prefix) {
   if (!active_session()) throw std::logic_error("MemberRouter: connect() before announcing");
-  announced6_.erase(prefix);
-  bgp::UpdateMessage update;
-  bgp::MpUnreachIPv6 unreach;
-  unreach.withdrawn.push_back(prefix);
-  update.attrs.mp_unreach_ipv6 = std::move(unreach);
-  active_session()->announce(std::move(update));
+  announced_.get<PrefixT>().erase(prefix);
+  active_session()->announce(bgp::Afi<PrefixT>::withdraw(prefix));
 }
 
 void MemberRouter::update_policy(MemberPolicy policy) {
   info_.policy = policy;
   if (!policy.accepts_more_specifics) {
     // Tightened: evict more-specifics accepted under the old policy.
-    for (const auto& route : rib_.snapshot()) {
-      if (route.prefix.length() > 24) {
-        rib_.withdraw(route.prefix, route.peer, route.path_id);
-        blackholed_.erase(route.prefix);
-      }
-    }
-    for (const auto& route : rib6_.snapshot()) {
-      if (route.prefix.length() > 48) {
-        rib6_.withdraw(route.prefix, route.peer, route.path_id);
-        blackholed6_.erase(route.prefix);
-      }
-    }
+    evict_more_specifics<net::Prefix4>();
+    evict_more_specifics<net::Prefix6>();
   }
   bgp::Session* session = active_session();
   if (session != nullptr && session->established()) {
     // Relaxed (or unchanged): ask the route server to re-send everything so
     // the new import policy sees routes it previously filtered.
-    session->request_route_refresh(bgp::kAfiIPv4);
-    if (info_.address_space6) session->request_route_refresh(bgp::kAfiIPv6);
+    request_refresh(*session);
+  }
+}
+
+template <typename PrefixT>
+void MemberRouter::evict_more_specifics() {
+  auto& rib = ribs_.get<PrefixT>();
+  for (const auto& route : rib.snapshot()) {
+    if (route.prefix.length() > bgp::Afi<PrefixT>::kMaxCommonLength) {
+      rib.withdraw(route.prefix, route.peer, route.path_id);
+      blackholed_.get<PrefixT>().erase(route.prefix);
+    }
   }
 }
 
 bool MemberRouter::blackholes(net::IPv4Address dst) const {
-  // Longest-prefix-match semantics: the blackhole route is by construction
-  // the most specific route for its covered hosts, so containment suffices.
-  for (const auto& p : blackholed_) {
-    if (p.contains(dst)) return true;
-  }
-  return false;
+  return in_blackhole<net::Prefix4>(dst);
 }
 
 bool MemberRouter::blackholes6(const net::IPv6Address& dst) const {
-  for (const auto& p : blackholed6_) {
+  return in_blackhole<net::Prefix6>(dst);
+}
+
+template <typename PrefixT>
+bool MemberRouter::in_blackhole(const typename bgp::Afi<PrefixT>::Address& dst) const {
+  // Longest-prefix-match semantics: the blackhole route is by construction
+  // the most specific route for its covered hosts, so containment suffices.
+  for (const auto& p : blackholed_.get<PrefixT>()) {
     if (p.contains(dst)) return true;
   }
   return false;
 }
 
 void MemberRouter::on_update(const bgp::UpdateMessage& update) {
-  for (const auto& nlri : update.withdrawn) {
-    rib_.withdraw(nlri.prefix, 0, nlri.path_id);
-    blackholed_.erase(nlri.prefix);
-  }
-  for (const auto& nlri : update.announced) {
-    // Default import filter: reject more-specifics than /24 (the blackhole
-    // adoption barrier) unless the member configured the exception.
-    if (nlri.prefix.length() > 24 && !info_.policy.accepts_more_specifics) {
+  import_update<net::Prefix4>(update);
+  import_update<net::Prefix6>(update);
+}
+
+template <typename PrefixT>
+void MemberRouter::import_update(const bgp::UpdateMessage& update) {
+  using Afi = bgp::Afi<PrefixT>;
+  auto& rib = ribs_.get<PrefixT>();
+  auto& blackholed = blackholed_.get<PrefixT>();
+  Afi::for_each_withdrawn(update, [&](const PrefixT& prefix, bgp::PathId path_id) {
+    rib.withdraw(prefix, 0, path_id);
+    blackholed.erase(prefix);
+  });
+  Afi::for_each_announced(update, [&](const PrefixT& prefix, bgp::PathId path_id) {
+    // Default import filter: reject more-specifics (the blackhole adoption
+    // barrier) unless the member configured the exception.
+    if (prefix.length() > Afi::kMaxCommonLength && !info_.policy.accepts_more_specifics) {
       ++rejected_more_specifics_;
-      continue;
+      return;
     }
-    bgp::Route route;
-    route.prefix = nlri.prefix;
-    route.peer = 0;
-    route.path_id = nlri.path_id;
-    route.attrs = update.attrs;
-    rib_.insert(std::move(route));
+    rib.insert(bgp::BasicRoute<PrefixT>{prefix, 0, path_id, update.attrs});
 
-    const bool is_blackhole_route = update.attrs.has_community(bgp::kBlackhole) &&
-                                    update.attrs.next_hop == blackhole_next_hop_;
+    const bool is_blackhole_route =
+        update.attrs.has_community(bgp::kBlackhole) &&
+        Afi::next_hop(update.attrs) ==
+            bgp::PickAfi<PrefixT>(blackhole_next_hop_, blackhole_next_hop6_);
     if (is_blackhole_route && info_.policy.participates_in_rtbh) {
-      blackholed_.insert(nlri.prefix);
+      blackholed.insert(prefix);
     } else {
-      blackholed_.erase(nlri.prefix);
+      blackholed.erase(prefix);
     }
-  }
-
-  // IPv6 unicast via MP attributes. The default-config boundary is /48: the
-  // common inter-domain maximum, so /128 blackholes need the same explicit
-  // exception as v4 /32s.
-  if (update.attrs.mp_unreach_ipv6) {
-    for (const auto& prefix : update.attrs.mp_unreach_ipv6->withdrawn) {
-      rib6_.withdraw(prefix, 0, 0);
-      blackholed6_.erase(prefix);
-    }
-  }
-  if (update.attrs.mp_reach_ipv6) {
-    for (const auto& prefix : update.attrs.mp_reach_ipv6->nlri) {
-      if (prefix.length() > 48 && !info_.policy.accepts_more_specifics) {
-        ++rejected_more_specifics_;
-        continue;
-      }
-      bgp::Route6 route;
-      route.prefix = prefix;
-      route.peer = 0;
-      route.path_id = 0;
-      route.attrs = update.attrs;
-      rib6_.insert(std::move(route));
-
-      const bool is_blackhole_route =
-          update.attrs.has_community(bgp::kBlackhole) &&
-          update.attrs.mp_reach_ipv6->next_hop == blackhole_next_hop6_;
-      if (is_blackhole_route && info_.policy.participates_in_rtbh) {
-        blackholed6_.insert(prefix);
-      } else {
-        blackholed6_.erase(prefix);
-      }
-    }
-  }
+  });
 }
 
 }  // namespace stellar::ixp

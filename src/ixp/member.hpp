@@ -26,9 +26,9 @@
 namespace stellar::ixp {
 
 struct MemberPolicy {
-  /// Member filters out routes more specific than /24 (IPv4) or /48 (IPv6)
-  /// — the default router config. Blackhole host routes are rejected by
-  /// such members.
+  /// Member filters out routes more specific than the AFI's common boundary
+  /// (bgp::Afi::kMaxCommonLength) — the default router config. Blackhole
+  /// host routes are rejected by such members.
   bool accepts_more_specifics = false;
   /// Member acts on the BLACKHOLE community by accepting the rewritten
   /// next-hop (only effective if more-specifics are accepted too).
@@ -96,35 +96,54 @@ class MemberRouter {
   [[nodiscard]] bool blackholes6(const net::IPv6Address& dst) const;
 
   [[nodiscard]] const MemberInfo& info() const { return info_; }
-  [[nodiscard]] const bgp::Rib& rib() const { return rib_; }
-  [[nodiscard]] const bgp::Rib6& rib6() const { return rib6_; }
+  [[nodiscard]] const bgp::Rib& rib() const { return ribs_.v4; }
+  [[nodiscard]] const bgp::Rib6& rib6() const { return ribs_.v6; }
   [[nodiscard]] bgp::Session* session() {
     return reconnector_ ? reconnector_->session() : session_.get();
   }
   /// Non-null after connect_resilient(): the recovery state machine.
   [[nodiscard]] bgp::ReconnectingSession* reconnector() { return reconnector_.get(); }
-  [[nodiscard]] const std::set<net::Prefix4>& blackholed_prefixes() const { return blackholed_; }
+  [[nodiscard]] const std::set<net::Prefix4>& blackholed_prefixes() const {
+    return blackholed_.v4;
+  }
   [[nodiscard]] const std::set<net::Prefix6>& blackholed6_prefixes() const {
-    return blackholed6_;
+    return blackholed_.v6;
   }
   [[nodiscard]] std::uint64_t rejected_more_specifics() const { return rejected_more_specifics_; }
 
  private:
-  void on_update(const bgp::UpdateMessage& update);
-  [[nodiscard]] bgp::Session* active_session();
-  void teardown_session();
-  /// Re-announces everything in announced_/announced6_ (post-reconnect).
-  void replay_announcements();
-  void send_announce(const net::Prefix4& prefix, std::vector<bgp::Community> communities,
-                     std::vector<bgp::ExtendedCommunity> extended);
-  void send_announce6(const net::Prefix6& prefix, std::vector<bgp::Community> communities,
-                      std::vector<bgp::ExtendedCommunity> extended);
-
   /// What this router has told the route server (for replay on reconnect).
   struct AnnouncedAttrs {
     std::vector<bgp::Community> communities;
     std::vector<bgp::ExtendedCommunity> extended;
   };
+  template <typename PrefixT>
+  using AnnouncedMap = std::map<PrefixT, AnnouncedAttrs>;
+  template <typename PrefixT>
+  using PrefixSet = std::set<PrefixT>;
+
+  void on_update(const bgp::UpdateMessage& update);
+  [[nodiscard]] bgp::Session* active_session();
+  void teardown_session();
+  /// Asks the route server to re-send every AFI this router runs.
+  void request_refresh(bgp::Session& session);
+  /// Re-announces everything in announced_ (post-reconnect).
+  void replay_announcements();
+
+  // Per-AFI implementations of the public IPv4/IPv6 pairs and of on_update.
+  template <typename PrefixT>
+  void announce_prefix(const PrefixT& prefix, AnnouncedAttrs attrs);
+  template <typename PrefixT>
+  void withdraw_prefix(const PrefixT& prefix);
+  template <typename PrefixT>
+  void send_announce(const PrefixT& prefix, const AnnouncedAttrs& attrs);
+  template <typename PrefixT>
+  void import_update(const bgp::UpdateMessage& update);
+  /// Drops accepted routes past the AFI's more-specific boundary.
+  template <typename PrefixT>
+  void evict_more_specifics();
+  template <typename PrefixT>
+  [[nodiscard]] bool in_blackhole(const typename bgp::Afi<PrefixT>::Address& dst) const;
 
   sim::EventQueue& queue_;
   MemberInfo info_;
@@ -132,12 +151,9 @@ class MemberRouter {
   net::IPv6Address blackhole_next_hop6_;
   std::unique_ptr<bgp::Session> session_;
   std::unique_ptr<bgp::ReconnectingSession> reconnector_;
-  std::map<net::Prefix4, AnnouncedAttrs> announced_;
-  std::map<net::Prefix6, AnnouncedAttrs> announced6_;
-  bgp::Rib rib_;                       ///< Accepted routes from the route server.
-  bgp::Rib6 rib6_;
-  std::set<net::Prefix4> blackholed_;  ///< Prefixes routed into the blackhole.
-  std::set<net::Prefix6> blackholed6_;
+  bgp::PerAfi<AnnouncedMap> announced_;
+  bgp::PerAfi<bgp::BasicRib> ribs_;    ///< Accepted routes from the route server.
+  bgp::PerAfi<PrefixSet> blackholed_;  ///< Prefixes routed into the blackhole.
   std::uint64_t rejected_more_specifics_ = 0;
 };
 

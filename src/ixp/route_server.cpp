@@ -50,11 +50,10 @@ std::shared_ptr<bgp::Endpoint> RouteServer::accept_member(bgp::Asn member_asn) {
     }
   }
   if (slot == members_.size()) {
-    members_.push_back(MemberPeer{member_asn, nullptr, {}, {}});
+    members_.push_back(MemberPeer{member_asn, nullptr, {}});
   } else {
     // Fresh Adj-RIB-Out: the rejoining router remembers nothing we exported.
-    members_[slot].exported.clear();
-    members_[slot].exported6.clear();
+    members_[slot].exported = {};
   }
   const bgp::PeerId peer = static_cast<bgp::PeerId>(slot + 1);  // Index + 1.
   auto session = std::make_unique<bgp::Session>(queue_, server_side, session_config);
@@ -84,11 +83,11 @@ std::shared_ptr<bgp::Endpoint> RouteServer::accept_controller() {
   // full Adj-RIB-In so it can rebuild desired state from scratch.
   controller_session_->set_refresh_handler([this](const bgp::RouteRefreshMessage& refresh) {
     if (refresh.afi != bgp::kAfiIPv4) return;
-    rib_.for_each([this](const bgp::Route& route) { controller_announce(route); });
+    ribs_.v4.for_each([this](const bgp::Route& route) { controller_announce(route); });
   });
   controller_session_->start();
   // Initial RIB synchronization: queued updates flush on establishment.
-  rib_.for_each([this](const bgp::Route& route) { controller_announce(route); });
+  ribs_.v4.for_each([this](const bgp::Route& route) { controller_announce(route); });
   return controller_side;
 }
 
@@ -105,146 +104,132 @@ bgp::Asn RouteServer::member_asn_of_peer(bgp::PeerId peer) const {
   return members_[peer - 1].asn;
 }
 
+void RouteServer::on_member_update(bgp::PeerId peer, const bgp::UpdateMessage& update) {
+  import_update<net::Prefix4>(peer, update);
+  import_update<net::Prefix6>(peer, update);
+}
+
 void RouteServer::on_member_session_closed(bgp::PeerId peer) {
+  withdraw_peer<net::Prefix4>(peer);
+  withdraw_peer<net::Prefix6>(peer);
+}
+
+void RouteServer::on_member_refresh(bgp::PeerId peer, const bgp::RouteRefreshMessage& refresh) {
+  if (refresh.afi == bgp::Afi<net::Prefix4>::kCode) refresh_member<net::Prefix4>(peer - 1);
+  if (refresh.afi == bgp::Afi<net::Prefix6>::kCode) refresh_member<net::Prefix6>(peer - 1);
+}
+
+template <typename PrefixT>
+void RouteServer::import_update(bgp::PeerId peer, const bgp::UpdateMessage& update) {
+  constexpr bool kV4 = bgp::Afi<PrefixT>::kCode == bgp::kAfiIPv4;
+  // IPv6 unicast is imported only when the IXP runs an IRR6.
+  if constexpr (!kV4) {
+    if (config_.irr6 == nullptr) return;
+  }
+  MemberPeer& from = members_[peer - 1];
+  auto& rib = ribs_.get<PrefixT>();
+  std::vector<PrefixT> touched;
+
+  bgp::Afi<PrefixT>::for_each_withdrawn(update, [&](const PrefixT& prefix, bgp::PathId) {
+    // A pure withdraw carries no attributes: the event describes the scope
+    // of the route being withdrawn.
+    const auto withdrawn = rib.find(prefix, peer);
+    if (!withdrawn) return;
+    rib.withdraw(prefix, peer);
+    touched.push_back(prefix);
+    if constexpr (kV4) controller_withdraw(prefix, peer);
+    if (withdrawn->has_community(bgp::kBlackhole)) {
+      log_blackhole_event(from, prefix, *withdrawn, /*withdrawn=*/true);
+    }
+  });
+
+  bgp::Afi<PrefixT>::for_each_announced(update, [&](const PrefixT& prefix, bgp::PathId) {
+    if (!import_accept(from, prefix, update.attrs)) return;
+    // Members do not use ADD-PATH northbound.
+    bgp::BasicRoute<PrefixT> route{prefix, peer, 0, update.attrs};
+    if (!rib.insert(route)) return;
+    touched.push_back(prefix);
+    if constexpr (kV4) {
+      route.path_id = ControllerPathId(peer);
+      controller_announce(route);
+    }
+    if (update.attrs.has_community(bgp::kBlackhole)) {
+      log_blackhole_event(from, prefix, update.attrs, /*withdrawn=*/false);
+    }
+  });
+
+  for (const auto& prefix : touched) reexport(prefix);
+}
+
+template <typename PrefixT>
+void RouteServer::withdraw_peer(bgp::PeerId peer) {
   // Collect this peer's prefixes, drop them, withdraw them everywhere.
   // A session failure implicitly withdraws the peer's blackhole routes, so it
   // must log the same events as an explicit withdraw — otherwise the journal
   // and looking glass undercount removals (the stored attrs describe the
   // signaling scope of the route being torn down).
-  std::vector<net::Prefix4> touched;
-  std::vector<std::pair<net::Prefix4, bgp::PathAttributes>> blackholed;
-  rib_.for_each([&](const bgp::Route& route) {
+  auto& rib = ribs_.get<PrefixT>();
+  std::vector<PrefixT> touched;
+  std::vector<std::pair<PrefixT, bgp::PathAttributes>> blackholed;
+  rib.for_each_view([&](const bgp::BasicRouteView<PrefixT>& route) {
     if (route.peer != peer) return;
     touched.push_back(route.prefix);
     if (route.attrs.has_community(bgp::kBlackhole)) {
       blackholed.emplace_back(route.prefix, route.attrs);
     }
   });
-  if (rib_.withdraw_peer(peer) > 0) {
-    for (const auto& [prefix, attrs] : blackholed) {
-      log_blackhole_event(members_[peer - 1], prefix, attrs, /*withdrawn=*/true);
-    }
-    for (const auto& prefix : touched) {
-      controller_withdraw(prefix, peer);
-      reexport(prefix);
-    }
+  if (rib.withdraw_peer(peer) == 0) return;
+  for (const auto& [prefix, attrs] : blackholed) {
+    log_blackhole_event(members_[peer - 1], prefix, attrs, /*withdrawn=*/true);
   }
-  std::vector<net::Prefix6> touched6;
-  std::vector<net::Prefix6> blackholed6;
-  rib6_.for_each([&](const bgp::Route6& route) {
-    if (route.peer != peer) return;
-    touched6.push_back(route.prefix);
-    if (route.attrs.has_community(bgp::kBlackhole)) blackholed6.push_back(route.prefix);
-  });
-  if (rib6_.withdraw_peer(peer) > 0) {
-    for (const auto& prefix : blackholed6) {
-      events6_.push_back(
-          BlackholeEvent6{queue_.now().count(), members_[peer - 1].asn, prefix, true});
-    }
-    for (const auto& prefix : touched6) reexport6(prefix);
+  for (const auto& prefix : touched) {
+    if constexpr (bgp::Afi<PrefixT>::kCode == bgp::kAfiIPv4) controller_withdraw(prefix, peer);
+    reexport(prefix);
   }
 }
 
-void RouteServer::on_member_update(bgp::PeerId peer, const bgp::UpdateMessage& update) {
-  MemberPeer& from = members_[peer - 1];
-  std::vector<net::Prefix4> touched;
-
-  for (const auto& nlri : update.withdrawn) {
-    const auto existing = rib_.routes_for(nlri.prefix);
-    const bool was_blackhole =
-        std::any_of(existing.begin(), existing.end(), [&](const bgp::Route& r) {
-          return r.peer == peer && r.attrs.has_community(bgp::kBlackhole);
-        });
-    if (rib_.withdraw(nlri.prefix, peer)) {
-      touched.push_back(nlri.prefix);
-      controller_withdraw(nlri.prefix, peer);
-      if (was_blackhole) log_blackhole_event(from, nlri.prefix, update.attrs, /*withdrawn=*/true);
-    }
-  }
-
-  for (const auto& nlri : update.announced) {
-    if (!import_accept(from, nlri, update.attrs)) continue;
-    bgp::Route route;
-    route.prefix = nlri.prefix;
-    route.peer = peer;
-    route.path_id = 0;  // Members do not use ADD-PATH northbound.
-    route.attrs = update.attrs;
-    if (rib_.insert(route)) {
-      touched.push_back(nlri.prefix);
-      route.path_id = ControllerPathId(peer);
-      controller_announce(route);
-      if (update.attrs.has_community(bgp::kBlackhole)) {
-        log_blackhole_event(from, nlri.prefix, update.attrs, /*withdrawn=*/false);
-      }
-    }
-  }
-
-  for (const auto& prefix : touched) reexport(prefix);
-
-  // IPv6 unicast via MP attributes (only when the IXP runs an IRR6).
-  if (config_.irr6 != nullptr) {
-    std::vector<net::Prefix6> touched6;
-    if (update.attrs.mp_unreach_ipv6) {
-      for (const auto& prefix : update.attrs.mp_unreach_ipv6->withdrawn) {
-        const auto existing = rib6_.routes_for(prefix);
-        const bool was_blackhole =
-            std::any_of(existing.begin(), existing.end(), [&](const bgp::Route6& r) {
-              return r.peer == peer && r.attrs.has_community(bgp::kBlackhole);
-            });
-        if (rib6_.withdraw(prefix, peer)) {
-          touched6.push_back(prefix);
-          if (was_blackhole) {
-            events6_.push_back(
-                BlackholeEvent6{queue_.now().count(), from.asn, prefix, true});
-          }
-        }
-      }
-    }
-    if (update.attrs.mp_reach_ipv6) {
-      for (const auto& prefix : update.attrs.mp_reach_ipv6->nlri) {
-        if (!import_accept6(from, prefix, update.attrs)) continue;
-        bgp::Route6 route;
-        route.prefix = prefix;
-        route.peer = peer;
-        route.attrs = update.attrs;
-        if (rib6_.insert(route)) {
-          touched6.push_back(prefix);
-          if (update.attrs.has_community(bgp::kBlackhole)) {
-            events6_.push_back(
-                BlackholeEvent6{queue_.now().count(), from.asn, prefix, false});
-          }
-        }
-      }
-    }
-    for (const auto& prefix : touched6) reexport6(prefix);
+template <typename PrefixT>
+void RouteServer::refresh_member(std::size_t member_index) {
+  // Forget what was exported so everything eligible is re-sent, letting the
+  // member's (possibly changed) import policy re-evaluate each route.
+  members_[member_index].exported.get<PrefixT>().clear();
+  for (const auto& prefix : ribs_.get<PrefixT>().prefixes()) {
+    ExportCache cache;
+    reexport_to(member_index, prefix, paths_of(prefix), cache);
   }
 }
 
-bool RouteServer::import_accept(const MemberPeer& from, const bgp::Nlri4& nlri,
+template <typename PrefixT>
+bool RouteServer::import_accept(const MemberPeer& from, const PrefixT& prefix,
                                 const bgp::PathAttributes& attrs) {
-  const net::Prefix4& prefix = nlri.prefix;
   // The announcing member must originate the path (no route-server leaks).
   const auto origin = attrs.origin_asn();
   if (!origin || *origin != from.asn) {
     ++rejects_.origin_mismatch;
     return false;
   }
-  if (config_.bogons != nullptr && config_.bogons->is_bogon(prefix)) {
+  const auto* bogons = bgp::PickAfi<PrefixT>(config_.bogons, config_.bogons6);
+  if (bogons != nullptr && bogons->is_bogon(prefix)) {
     ++rejects_.bogon;
     return false;
   }
-  if (!config_.irr->authorized(prefix, from.asn)) {
+  const auto* irr = bgp::PickAfi<PrefixT>(config_.irr, config_.irr6);
+  if (irr == nullptr || !irr->authorized(prefix, from.asn)) {
     ++rejects_.irr_unauthorized;
     return false;
   }
-  if (config_.rpki != nullptr &&
-      config_.rpki->validate(prefix, from.asn) == RpkiState::kInvalid) {
-    ++rejects_.rpki_invalid;
-    return false;
+  // RPKI validation is IPv4 only: the validator holds IPv4 ROAs.
+  if constexpr (bgp::Afi<PrefixT>::kCode == bgp::kAfiIPv4) {
+    if (config_.rpki != nullptr &&
+        config_.rpki->validate(prefix, from.asn) == RpkiState::kInvalid) {
+      ++rejects_.rpki_invalid;
+      return false;
+    }
   }
-  // More-specifics than /24 are only meaningful as blackholing requests
-  // (standard or Advanced, the latter marked by IXP extended communities).
-  if (prefix.length() > 24) {
+  // More-specifics past the AFI's common boundary are only meaningful as
+  // blackholing requests (standard or Advanced, the latter marked by IXP
+  // extended or large communities).
+  if (prefix.length() > bgp::Afi<PrefixT>::kMaxCommonLength) {
     const bool advanced =
         std::any_of(attrs.extended_communities.begin(), attrs.extended_communities.end(),
                     [this](const bgp::ExtendedCommunity& ec) {
@@ -262,9 +247,10 @@ bool RouteServer::import_accept(const MemberPeer& from, const bgp::Nlri4& nlri,
   return true;
 }
 
-void RouteServer::log_blackhole_event(const MemberPeer& from, const net::Prefix4& prefix,
+template <typename PrefixT>
+void RouteServer::log_blackhole_event(const MemberPeer& from, const PrefixT& prefix,
                                       const bgp::PathAttributes& attrs, bool withdrawn) {
-  BlackholeEvent ev;
+  BasicBlackholeEvent<PrefixT> ev;
   ev.time_s = queue_.now().count();
   ev.member = from.asn;
   ev.prefix = prefix;
@@ -279,31 +265,30 @@ void RouteServer::log_blackhole_event(const MemberPeer& from, const net::Prefix4
       ++ev.included_peers;
     }
   }
-  events_.push_back(ev);
+  events_.get<PrefixT>().push_back(ev);
 }
 
-void RouteServer::reexport(const net::Prefix4& prefix) {
+template <typename PrefixT>
+std::vector<RouteServer::PathRef> RouteServer::paths_of(const PrefixT& prefix) const {
+  std::vector<PathRef> paths;
+  ribs_.get<PrefixT>().visit_prefix(prefix, [&](const bgp::BasicRouteView<PrefixT>& r) {
+    paths.push_back(PathRef{r.peer, r.path_id, &r.attrs});
+  });
+  return paths;
+}
+
+template <typename PrefixT>
+void RouteServer::reexport(const PrefixT& prefix) {
   // One RIB walk and one export-attribute computation per distinct best path,
   // shared across the whole member fan-out: O(paths + members) per prefix
   // instead of O(paths * members) at L-IXP scale.
-  std::vector<PathRef> paths;
-  rib_.visit_prefix(prefix, [&](const bgp::RouteView& r) {
-    paths.push_back(PathRef{r.peer, r.path_id, &r.attrs});
-  });
+  const std::vector<PathRef> paths = paths_of(prefix);
   ExportCache cache;
   for (std::size_t i = 0; i < members_.size(); ++i) reexport_to(i, prefix, paths, cache);
 }
 
-void RouteServer::reexport_to(std::size_t member_index, const net::Prefix4& prefix) {
-  std::vector<PathRef> paths;
-  rib_.visit_prefix(prefix, [&](const bgp::RouteView& r) {
-    paths.push_back(PathRef{r.peer, r.path_id, &r.attrs});
-  });
-  ExportCache cache;
-  reexport_to(member_index, prefix, paths, cache);
-}
-
-void RouteServer::reexport_to(std::size_t member_index, const net::Prefix4& prefix,
+template <typename PrefixT>
+void RouteServer::reexport_to(std::size_t member_index, const PrefixT& prefix,
                               const std::vector<PathRef>& paths, ExportCache& cache) {
   MemberPeer& target = members_[member_index];
   const bgp::PeerId target_peer = static_cast<bgp::PeerId>(member_index + 1);
@@ -324,39 +309,22 @@ void RouteServer::reexport_to(std::size_t member_index, const net::Prefix4& pref
     }
   }
 
-  const auto exported = target.exported.find(prefix);
+  auto& exported_map = target.exported.get<PrefixT>();
+  const auto exported = exported_map.find(prefix);
   if (best == nullptr) {
-    if (exported != target.exported.end()) {
-      target.exported.erase(exported);
-      bgp::UpdateMessage update;
-      update.withdrawn.push_back(bgp::Nlri4{0, prefix});
-      target.session->announce(std::move(update));
+    if (exported != exported_map.end()) {
+      exported_map.erase(exported);
+      target.session->announce(bgp::Afi<PrefixT>::withdraw(prefix));
     }
     return;
   }
   auto [cached, fresh] = cache.try_emplace({best->peer, best->path_id});
-  if (fresh) cached->second = bgp::Intern(member_export_attrs(*best->attrs));
+  if (fresh) cached->second = bgp::Intern(member_export_attrs<PrefixT>(*best->attrs));
   const std::shared_ptr<const bgp::PathAttributes>& out = cached->second;
   // Interned pointers: equal <=> the exported attributes are unchanged.
-  if (exported != target.exported.end() && exported->second == out) return;
-  target.exported[prefix] = out;
-  bgp::UpdateMessage update;
-  update.attrs = *out;
-  update.announced.push_back(bgp::Nlri4{0, prefix});
-  target.session->announce(std::move(update));
-}
-
-void RouteServer::on_member_refresh(bgp::PeerId peer, const bgp::RouteRefreshMessage& refresh) {
-  MemberPeer& target = members_[peer - 1];
-  if (refresh.afi == bgp::kAfiIPv4) {
-    // Forget what was exported so everything eligible is re-sent, letting the
-    // member's (possibly changed) import policy re-evaluate each route.
-    target.exported.clear();
-    for (const auto& prefix : rib_.prefixes()) reexport_to(peer - 1, prefix);
-  } else if (refresh.afi == bgp::kAfiIPv6) {
-    target.exported6.clear();
-    for (const auto& prefix : rib6_.prefixes()) reexport_to6(peer - 1, prefix);
-  }
+  if (exported != exported_map.end() && exported->second == out) return;
+  exported_map[prefix] = out;
+  target.session->announce(bgp::Afi<PrefixT>::announce(*out, prefix));
 }
 
 bool RouteServer::eligible(const bgp::PathAttributes& attrs, bgp::Asn target) const {
@@ -367,6 +335,7 @@ bool RouteServer::eligible(const bgp::PathAttributes& attrs, bgp::Asn target) co
   return !attrs.has_community(exclude_peer(target));
 }
 
+template <typename PrefixT>
 bgp::PathAttributes RouteServer::member_export_attrs(const bgp::PathAttributes& attrs) const {
   bgp::PathAttributes out = attrs;
   // Strip scope-control communities: they are instructions to the route
@@ -384,123 +353,12 @@ bgp::PathAttributes RouteServer::member_export_attrs(const bgp::PathAttributes& 
   });
   // Classic RTBH: rewrite the next-hop so accepting members route the prefix
   // into the IXP's null interface.
+  std::optional<typename bgp::Afi<PrefixT>::Address> next_hop;
   if (attrs.has_community(bgp::kBlackhole)) {
-    out.next_hop = config_.blackhole_next_hop;
+    next_hop = bgp::PickAfi<PrefixT>(config_.blackhole_next_hop, config_.blackhole_next_hop6);
     out.add_community(bgp::kNoExport);
   }
-  return out;
-}
-
-bool RouteServer::import_accept6(const MemberPeer& from, const net::Prefix6& prefix,
-                                 const bgp::PathAttributes& attrs) {
-  const auto origin = attrs.origin_asn();
-  if (!origin || *origin != from.asn) {
-    ++rejects_.origin_mismatch;
-    return false;
-  }
-  if (config_.bogons6 != nullptr && config_.bogons6->is_bogon(prefix)) {
-    ++rejects_.bogon;
-    return false;
-  }
-  if (config_.irr6 == nullptr || !config_.irr6->authorized(prefix, from.asn)) {
-    ++rejects_.irr_unauthorized;
-    return false;
-  }
-  // More-specifics than /48 are only meaningful as blackholing requests.
-  if (prefix.length() > 48) {
-    const bool advanced =
-        std::any_of(attrs.extended_communities.begin(), attrs.extended_communities.end(),
-                    [this](const bgp::ExtendedCommunity& ec) {
-                      return ec.as_number() == static_cast<std::uint16_t>(config_.asn);
-                    }) ||
-        std::any_of(attrs.large_communities.begin(), attrs.large_communities.end(),
-                    [this](const bgp::LargeCommunity& lc) {
-                      return lc.global_admin == config_.asn;
-                    });
-    if (!attrs.has_community(bgp::kBlackhole) && !advanced) {
-      ++rejects_.too_specific;
-      return false;
-    }
-  }
-  return true;
-}
-
-void RouteServer::reexport6(const net::Prefix6& prefix) {
-  std::vector<PathRef> paths;
-  rib6_.visit_prefix(prefix, [&](const bgp::RouteView6& r) {
-    paths.push_back(PathRef{r.peer, r.path_id, &r.attrs});
-  });
-  ExportCache cache;
-  for (std::size_t i = 0; i < members_.size(); ++i) reexport_to6(i, prefix, paths, cache);
-}
-
-void RouteServer::reexport_to6(std::size_t member_index, const net::Prefix6& prefix) {
-  std::vector<PathRef> paths;
-  rib6_.visit_prefix(prefix, [&](const bgp::RouteView6& r) {
-    paths.push_back(PathRef{r.peer, r.path_id, &r.attrs});
-  });
-  ExportCache cache;
-  reexport_to6(member_index, prefix, paths, cache);
-}
-
-void RouteServer::reexport_to6(std::size_t member_index, const net::Prefix6& prefix,
-                               const std::vector<PathRef>& paths, ExportCache& cache) {
-  MemberPeer& target = members_[member_index];
-  const bgp::PeerId target_peer = static_cast<bgp::PeerId>(member_index + 1);
-
-  struct Cand {
-    const bgp::PathAttributes& attrs;
-    bgp::PeerId peer;
-    bgp::PathId path_id;
-  };
-  const PathRef* best = nullptr;
-  for (const auto& r : paths) {
-    if (r.peer == target_peer) continue;
-    if (!eligible(*r.attrs, target.asn)) continue;
-    if (best == nullptr || bgp::BetterPath(Cand{*r.attrs, r.peer, r.path_id},
-                                           Cand{*best->attrs, best->peer, best->path_id})) {
-      best = &r;
-    }
-  }
-
-  const auto exported = target.exported6.find(prefix);
-  if (best == nullptr) {
-    if (exported != target.exported6.end()) {
-      target.exported6.erase(exported);
-      bgp::UpdateMessage update;
-      bgp::MpUnreachIPv6 unreach;
-      unreach.withdrawn.push_back(prefix);
-      update.attrs.mp_unreach_ipv6 = std::move(unreach);
-      target.session->announce(std::move(update));
-    }
-    return;
-  }
-  // The export attributes depend only on the best path (the prefix in the
-  // MP_REACH NLRI is fixed within one re-export), so the cache key holds.
-  auto [cached, fresh] = cache.try_emplace({best->peer, best->path_id});
-  if (fresh) cached->second = bgp::Intern(member_export_attrs6(*best->attrs, prefix));
-  const std::shared_ptr<const bgp::PathAttributes>& out = cached->second;
-  if (exported != target.exported6.end() && exported->second == out) return;
-  target.exported6[prefix] = out;
-  bgp::UpdateMessage update;
-  update.attrs = *out;
-  target.session->announce(std::move(update));
-}
-
-bgp::PathAttributes RouteServer::member_export_attrs6(const bgp::PathAttributes& attrs,
-                                                      const net::Prefix6& prefix) const {
-  bgp::PathAttributes out = member_export_attrs(attrs);
-  // member_export_attrs rewrote the (unused) v4 next-hop; the v6 route's
-  // actual forwarding state lives in MP_REACH.
-  out.next_hop.reset();
-  out.mp_unreach_ipv6.reset();
-  bgp::MpReachIPv6 reach;
-  reach.next_hop = attrs.has_community(bgp::kBlackhole)
-                       ? config_.blackhole_next_hop6
-                       : attrs.mp_reach_ipv6 ? attrs.mp_reach_ipv6->next_hop
-                                             : net::IPv6Address();
-  reach.nlri = {prefix};
-  out.mp_reach_ipv6 = std::move(reach);
+  bgp::Afi<PrefixT>::set_next_hop(out, next_hop);
   return out;
 }
 

@@ -24,6 +24,25 @@
 
 namespace stellar::ixp {
 
+/// One accepted blackhole announcement or withdrawal, logged for the Fig. 3b
+/// analysis of how members scope their RTBH requests. IPv6 events (paper
+/// footnote 4: <1% of blackholing traffic, but the mechanism is
+/// AFI-agnostic) carry the same fields.
+template <typename PrefixT>
+struct BasicBlackholeEvent {
+  double time_s = 0.0;
+  bgp::Asn member = 0;
+  PrefixT prefix;
+  int excluded_peers = 0;   ///< "All-k": number of (0:peer) exclusions.
+  int included_peers = 0;   ///< Explicit (ixp:peer) inclusions.
+  bool announce_to_none = false;  ///< (0:ixp_asn) present.
+  bool withdrawn = false;
+};
+
+/// Import hygiene, scope control, RTBH next-hop rewrite and implicit withdraw
+/// are written once over the prefix type (bgp::Afi holds the wire
+/// differences). Three policy points differ by AFI: RPKI validation and the
+/// controller feed are IPv4 only, and IPv6 import runs only with an IRR6.
 class RouteServer {
  public:
   struct Config {
@@ -51,7 +70,7 @@ class RouteServer {
     std::uint64_t bogon = 0;
     std::uint64_t irr_unauthorized = 0;
     std::uint64_t rpki_invalid = 0;
-    std::uint64_t too_specific = 0;      ///< > /24 without a blackhole community.
+    std::uint64_t too_specific = 0;      ///< Past bgp::Afi::kMaxCommonLength, not a blackhole.
     std::uint64_t origin_mismatch = 0;   ///< AS path origin != announcing member.
 
     [[nodiscard]] std::uint64_t total() const {
@@ -59,26 +78,8 @@ class RouteServer {
     }
   };
 
-  /// One accepted blackhole announcement, logged for the Fig. 3b analysis of
-  /// how members scope their RTBH requests.
-  struct BlackholeEvent {
-    double time_s = 0.0;
-    bgp::Asn member = 0;
-    net::Prefix4 prefix;
-    int excluded_peers = 0;   ///< "All-k": number of (0:peer) exclusions.
-    int included_peers = 0;   ///< Explicit (ixp:peer) inclusions.
-    bool announce_to_none = false;  ///< (0:ixp_asn) present.
-    bool withdrawn = false;
-  };
-
-  /// IPv6 blackholing events (paper footnote 4: <1% of blackholing traffic,
-  /// but the mechanism is AFI-agnostic).
-  struct BlackholeEvent6 {
-    double time_s = 0.0;
-    bgp::Asn member = 0;
-    net::Prefix6 prefix;
-    bool withdrawn = false;
-  };
+  using BlackholeEvent = BasicBlackholeEvent<net::Prefix4>;
+  using BlackholeEvent6 = BasicBlackholeEvent<net::Prefix6>;
 
   RouteServer(sim::EventQueue& queue, Config config);
 
@@ -100,12 +101,12 @@ class RouteServer {
   [[nodiscard]] bgp::Community announce_to_none() const;
 
   // -- Introspection ----------------------------------------------------------
-  [[nodiscard]] const bgp::Rib& adj_rib_in() const { return rib_; }
-  [[nodiscard]] const bgp::Rib6& adj_rib_in6() const { return rib6_; }
+  [[nodiscard]] const bgp::Rib& adj_rib_in() const { return ribs_.v4; }
+  [[nodiscard]] const bgp::Rib6& adj_rib_in6() const { return ribs_.v6; }
   [[nodiscard]] const RejectStats& rejects() const { return rejects_; }
-  [[nodiscard]] const std::vector<BlackholeEvent>& blackhole_events() const { return events_; }
+  [[nodiscard]] const std::vector<BlackholeEvent>& blackhole_events() const { return events_.v4; }
   [[nodiscard]] const std::vector<BlackholeEvent6>& blackhole_events6() const {
-    return events6_;
+    return events_.v6;
   }
   [[nodiscard]] std::size_t member_count() const { return members_.size(); }
   [[nodiscard]] std::size_t established_member_sessions() const;
@@ -113,14 +114,18 @@ class RouteServer {
   [[nodiscard]] bgp::Asn member_asn_of_peer(bgp::PeerId peer) const;
 
  private:
+  template <typename PrefixT>
+  using ExportMap = std::map<PrefixT, std::shared_ptr<const bgp::PathAttributes>>;
+  template <typename PrefixT>
+  using EventLog = std::vector<BasicBlackholeEvent<PrefixT>>;
+
   struct MemberPeer {
     bgp::Asn asn = 0;
     std::unique_ptr<bgp::Session> session;
     /// Last attributes exported to this peer, per prefix (empty = withdrawn).
     /// Interned: all ~N members exporting the same best path share one
     /// allocation, and the did-it-change check is a pointer comparison.
-    std::map<net::Prefix4, std::shared_ptr<const bgp::PathAttributes>> exported;
-    std::map<net::Prefix6, std::shared_ptr<const bgp::PathAttributes>> exported6;
+    bgp::PerAfi<ExportMap> exported;
   };
 
   /// Borrowed view of one RIB path, shared across the per-member export loop
@@ -139,42 +144,47 @@ class RouteServer {
   /// Implicit withdraw on session failure: every route of the dead peer is
   /// removed and withdrawn from members and the controller.
   void on_member_session_closed(bgp::PeerId peer);
-  [[nodiscard]] bool import_accept(const MemberPeer& from, const bgp::Nlri4& nlri,
-                                   const bgp::PathAttributes& attrs);
-  void log_blackhole_event(const MemberPeer& from, const net::Prefix4& prefix,
-                           const bgp::PathAttributes& attrs, bool withdrawn);
-  void reexport(const net::Prefix4& prefix);
   /// ROUTE-REFRESH from a member: clears the per-peer Adj-RIB-Out bookkeeping
   /// for the AFI and re-sends every eligible route.
   void on_member_refresh(bgp::PeerId peer, const bgp::RouteRefreshMessage& refresh);
-  void reexport_to(std::size_t member_index, const net::Prefix4& prefix);
-  void reexport_to(std::size_t member_index, const net::Prefix4& prefix,
+
+  // Per-AFI halves of the three handlers above.
+  template <typename PrefixT>
+  void import_update(bgp::PeerId peer, const bgp::UpdateMessage& update);
+  template <typename PrefixT>
+  void withdraw_peer(bgp::PeerId peer);
+  template <typename PrefixT>
+  void refresh_member(std::size_t member_index);
+
+  template <typename PrefixT>
+  [[nodiscard]] bool import_accept(const MemberPeer& from, const PrefixT& prefix,
+                                   const bgp::PathAttributes& attrs);
+  template <typename PrefixT>
+  void log_blackhole_event(const MemberPeer& from, const PrefixT& prefix,
+                           const bgp::PathAttributes& attrs, bool withdrawn);
+  template <typename PrefixT>
+  [[nodiscard]] std::vector<PathRef> paths_of(const PrefixT& prefix) const;
+  template <typename PrefixT>
+  void reexport(const PrefixT& prefix);
+  template <typename PrefixT>
+  void reexport_to(std::size_t member_index, const PrefixT& prefix,
                    const std::vector<PathRef>& paths, ExportCache& cache);
-  void reexport_to6(std::size_t member_index, const net::Prefix6& prefix);
-  void reexport_to6(std::size_t member_index, const net::Prefix6& prefix,
-                    const std::vector<PathRef>& paths, ExportCache& cache);
-  [[nodiscard]] bool import_accept6(const MemberPeer& from, const net::Prefix6& prefix,
-                                    const bgp::PathAttributes& attrs);
-  void reexport6(const net::Prefix6& prefix);
   /// True if a route with these attributes may be exported to `target`.
   [[nodiscard]] bool eligible(const bgp::PathAttributes& attrs, bgp::Asn target) const;
   /// Attributes as exported to members: scope communities stripped, blackhole
   /// next-hop rewritten, Stellar extended communities removed.
+  template <typename PrefixT>
   [[nodiscard]] bgp::PathAttributes member_export_attrs(const bgp::PathAttributes& attrs) const;
-  [[nodiscard]] bgp::PathAttributes member_export_attrs6(const bgp::PathAttributes& attrs,
-                                                         const net::Prefix6& prefix) const;
   void controller_announce(const bgp::Route& route);
   void controller_withdraw(const net::Prefix4& prefix, bgp::PeerId peer);
 
   sim::EventQueue& queue_;
   Config config_;
   std::vector<MemberPeer> members_;  ///< PeerId = index + 1.
-  bgp::Rib rib_;                     ///< All accepted member routes.
-  bgp::Rib6 rib6_;
+  bgp::PerAfi<bgp::BasicRib> ribs_;  ///< All accepted member routes.
   std::unique_ptr<bgp::Session> controller_session_;
   RejectStats rejects_;
-  std::vector<BlackholeEvent> events_;
-  std::vector<BlackholeEvent6> events6_;
+  bgp::PerAfi<EventLog> events_;
 };
 
 }  // namespace stellar::ixp

@@ -153,6 +153,47 @@ TEST(Ipv6Test, SessionFailureLogsV6BlackholeWithdrawEvent) {
   EXPECT_EQ(ev.prefix, P6("2001:678:a::1/128"));
 }
 
+TEST(Ipv6Test, ResilientReconnectReplaysV6Announcements) {
+  V6Fixture f;
+  bgp::ReconnectPolicy policy;
+  policy.initial_backoff_s = 1.0;
+  policy.jitter_frac = 0.0;
+  f.v6_member->connect_resilient(
+      [&f] { return f.ixp->route_server().accept_member(65001); }, policy);
+  f.settle();
+  f.v6_member->announce6(P6("2001:678:a::1/128"), {bgp::kBlackhole});
+  f.settle();
+  ASSERT_TRUE(f.honoring->blackholes6(A6("2001:678:a::1")));
+
+  // An unexpected session loss implicitly withdraws the member's v6 routes...
+  f.v6_member->session()->stop();
+  f.ixp->settle(0.5);
+  ASSERT_FALSE(f.honoring->blackholes6(A6("2001:678:a::1")));
+  ASSERT_TRUE(f.honoring->rib6().routes_for(P6("2001:678:a::/48")).empty());
+
+  // ...and the re-established session replays them.
+  f.settle();
+  EXPECT_EQ(f.v6_member->reconnector()->stats().reconnects, 1u);
+  EXPECT_TRUE(f.honoring->blackholes6(A6("2001:678:a::1")));
+  EXPECT_FALSE(f.honoring->rib6().routes_for(P6("2001:678:a::/48")).empty());
+}
+
+TEST(Ipv6Test, OriginMismatchV6Rejected) {
+  V6Fixture f;
+  const auto before = f.ixp->route_server().rejects().origin_mismatch;
+  bgp::UpdateMessage u;
+  u.attrs.origin = bgp::Origin::kIgp;
+  u.attrs.as_path = {{bgp::AsPathSegment::Type::kSequence, {65099}}};
+  bgp::MpReachIPv6 reach;
+  reach.nlri = {P6("2001:678:a:1::/64")};
+  u.attrs.mp_reach_ipv6 = std::move(reach);
+  f.v6_member->session()->announce(u);
+  f.settle();
+  EXPECT_EQ(f.ixp->route_server().rejects().origin_mismatch, before + 1);
+  EXPECT_TRUE(
+      f.ixp->route_server().adj_rib_in6().routes_for(P6("2001:678:a:1::/64")).empty());
+}
+
 TEST(Ipv6Test, V4PathUnaffectedByV6Churn) {
   V6Fixture f;
   f.v6_member->announce6(P6("2001:678:a::1/128"), {bgp::kBlackhole});
@@ -172,6 +213,19 @@ TEST(Ipv6Test, LookingGlassShowsV6Routes) {
   EXPECT_NE(routes[0].find("AS65001"), std::string::npos);
   EXPECT_NE(routes[0].find("65535:666"), std::string::npos);
   EXPECT_NE(lg.show_status().find("routes6=4"), std::string::npos);
+}
+
+TEST(Ipv6Test, LookingGlassShowsV6ExtendedCommunities) {
+  // show_route and show_route6 share one body, so v6 lines list extended
+  // communities like v4 lines do.
+  V6Fixture f;
+  f.v6_member->announce6(P6("2001:678:a::1/128"), {bgp::kBlackhole},
+                         {bgp::ExtendedCommunity::TwoOctetAs(0x80, 64500, 123)});
+  f.settle();
+  LookingGlass lg(f.ixp->route_server());
+  const auto routes = lg.show_route6(P6("2001:678:a::1/128"));
+  ASSERT_EQ(routes.size(), 1u);
+  EXPECT_NE(routes[0].find(" extended "), std::string::npos);
 }
 
 TEST(Ipv6Test, Bogon6ListStandard) {

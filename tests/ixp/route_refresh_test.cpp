@@ -92,6 +92,30 @@ TEST(RouteRefreshTest, TighteningPolicyDropsMoreSpecifics) {
   EXPECT_FALSE(f.fixable->blackholes(net::IPv4Address(100, 10, 10, 10)));
 }
 
+TEST(RouteRefreshTest, TighteningPolicyDropsV6MoreSpecifics) {
+  RefreshFixture f;
+  MemberPolicy open;
+  open.accepts_more_specifics = true;
+  f.fixable->update_policy(open);
+  f.victim->announce6(P6("2001:678:a::1/128"), {bgp::kBlackhole});
+  f.settle();
+  const auto host = net::IPv6Address::Parse("2001:678:a::1").value();
+  ASSERT_TRUE(f.fixable->blackholes6(host));
+
+  MemberPolicy strict;
+  strict.accepts_more_specifics = false;
+  f.fixable->update_policy(strict);
+  EXPECT_FALSE(f.fixable->blackholes6(host));
+  EXPECT_TRUE(f.fixable->blackholed6_prefixes().empty());
+  EXPECT_TRUE(f.fixable->rib6().routes_for(P6("2001:678:a::1/128")).empty());
+  // Routes at the /48 boundary stay.
+  EXPECT_FALSE(f.fixable->rib6().routes_for(P6("2001:678:a::/48")).empty());
+  f.settle();
+  // The refresh re-sent the /128 but the strict policy filters it again.
+  EXPECT_FALSE(f.fixable->blackholes6(host));
+  EXPECT_TRUE(f.fixable->rib6().routes_for(P6("2001:678:a::1/128")).empty());
+}
+
 TEST(RouteRefreshTest, Ipv6RefreshRecoversV6Blackhole) {
   RefreshFixture f;
   f.victim->announce6(P6("2001:678:a::1/128"), {bgp::kBlackhole});

@@ -183,6 +183,31 @@ TEST(RouteServerTest, SessionFailureLogsBlackholeWithdrawEvent) {
   EXPECT_EQ(ev.excluded_peers, 1);
 }
 
+TEST(RouteServerTest, ExplicitWithdrawLogsWithdrawnRouteScope) {
+  // Regression: an explicit withdraw logged the withdraw UPDATE's own
+  // attributes, which are empty, so the event lost the route's scope.
+  RsFixture f;
+  f.m1->announce(P4("100.10.10.10/32"), {bgp::kBlackhole, f.rs().exclude_peer(65002)});
+  f.m1->announce(P4("100.10.10.11/32"), {bgp::kBlackhole, f.rs().announce_to_none(),
+                                         f.rs().include_peer(65002)});
+  f.settle();
+  f.m1->withdraw(P4("100.10.10.10/32"));
+  f.m1->withdraw(P4("100.10.10.11/32"));
+  f.settle();
+
+  ASSERT_EQ(f.rs().blackhole_events().size(), 4u);
+  const auto& excluded = f.rs().blackhole_events()[2];
+  EXPECT_TRUE(excluded.withdrawn);
+  EXPECT_EQ(excluded.prefix, P4("100.10.10.10/32"));
+  EXPECT_EQ(excluded.excluded_peers, 1);
+  EXPECT_FALSE(excluded.announce_to_none);
+  const auto& scoped = f.rs().blackhole_events()[3];
+  EXPECT_TRUE(scoped.withdrawn);
+  EXPECT_EQ(scoped.prefix, P4("100.10.10.11/32"));
+  EXPECT_TRUE(scoped.announce_to_none);
+  EXPECT_EQ(scoped.included_peers, 1);
+}
+
 TEST(RouteServerTest, SessionFailureWithoutBlackholeRoutesLogsNothing) {
   RsFixture f;
   const auto before = f.rs().blackhole_events().size();

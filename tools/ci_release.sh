@@ -7,7 +7,10 @@
 #   - signal_storm --smoke   : batched control-plane apply >=5x faster than
 #                              per-signal with byte-identical installed rule
 #                              sets (differential assert).
-# Both binaries exit non-zero when a gate fails, so the job fails
+# and the L-IXP benchmark's self-check (perfbench/run.py --selfcheck): per
+# workload, observation hooks off, on and traced give byte-identical digests,
+# and a second seed passes every correctness check.
+# Every step exits non-zero when its gate fails, so the job fails
 # mechanically. This catches the optimized-build bug class the sanitizer
 # matrix can't: -O2 codegen differences and assert-guarded invariants that a
 # plain NDEBUG Release build would compile out.
@@ -27,3 +30,5 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 "$BUILD_DIR"/bench/fig9_scaling --smoke
 "$BUILD_DIR"/bench/signal_storm --smoke
+
+python3 perfbench/run.py --selfcheck --seconds 2
