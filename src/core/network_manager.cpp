@@ -100,17 +100,16 @@ void NetworkManager::enqueue(ConfigChange change) {
   if (!change.trace.empty() && change.op == ConfigChange::Op::kInstall) {
     obs::tracer().mark(change.trace, "config_enqueued", change.enqueued_at_s);
   }
-  if (config_.batch_apply) {
-    coalesce_or_push(std::move(change));
-  } else {
-    pending_.push_back(std::move(change));
-  }
+  // The newest intent for a key wins: it supersedes a retry of that key still
+  // sitting out its backoff.
+  if (backoff_changes_.erase(change.key) > 0) c_coalesced_.inc();
+  push(std::move(change));
   schedule_drain();
 }
 
-void NetworkManager::coalesce_or_push(ConfigChange change) {
+void NetworkManager::push(ConfigChange change) {
   const auto idx = pending_index_.find(change.key);
-  if (idx == pending_index_.end()) {
+  if (!config_.batch_apply || idx == pending_index_.end()) {
     pending_.push_back(std::move(change));
     pending_index_[pending_.back().key] = std::prev(pending_.end());
     return;
@@ -133,7 +132,7 @@ void NetworkManager::coalesce_or_push(ConfigChange change) {
 
 std::vector<ConfigChange> NetworkManager::in_flight() const {
   std::vector<ConfigChange> out(pending_.begin(), pending_.end());
-  for (const auto& [ticket, change] : backoff_changes_) out.push_back(change);
+  for (const auto& [key, backoff] : backoff_changes_) out.push_back(backoff.second);
   return out;
 }
 
@@ -167,23 +166,22 @@ void NetworkManager::handle_failure(ConfigChange change, const util::Error& erro
   c_retries_.inc();
   obs::journal().append(queue_.now().count(), obs::EventKind::kRuleRetry, change.key,
                         error.code + " attempt=" + std::to_string(change.attempt));
+  if (pending_index_.contains(change.key)) {
+    // A newer change for this key is already queued; it supersedes the retry.
+    c_coalesced_.inc();
+    return;
+  }
   const std::uint64_t ticket = next_backoff_ticket_++;
-  backoff_changes_.emplace(ticket, std::move(change));
-  queue_.schedule_after(sim::Seconds(backoff), [this, ticket] {
-    const auto it = backoff_changes_.find(ticket);
-    if (it == backoff_changes_.end()) return;
-    ConfigChange retry = std::move(it->second);
+  std::string key = change.key;
+  backoff_changes_.insert_or_assign(key, std::pair(ticket, std::move(change)));
+  queue_.schedule_after(sim::Seconds(backoff), [this, key = std::move(key), ticket] {
+    // A newer enqueue of the key may have dropped (and a later failure
+    // replaced) this retry while its timer was pending.
+    const auto it = backoff_changes_.find(key);
+    if (it == backoff_changes_.end() || it->second.first != ticket) return;
+    ConfigChange retry = std::move(it->second.second);
     backoff_changes_.erase(it);
-    if (config_.batch_apply && pending_index_.contains(retry.key)) {
-      // A newer change for this key was queued while the retry sat out its
-      // backoff; the newer intent supersedes the failed attempt.
-      c_coalesced_.inc();
-    } else if (config_.batch_apply) {
-      pending_.push_back(std::move(retry));
-      pending_index_[pending_.back().key] = std::prev(pending_.end());
-    } else {
-      pending_.push_back(std::move(retry));
-    }
+    push(std::move(retry));
     schedule_drain();
   });
 }
@@ -205,32 +203,15 @@ void NetworkManager::schedule_drain() {
       schedule_drain();  // Tokens not there yet; re-arm strictly later.
       return;
     }
-    if (config_.batch_apply) {
-      drain_batch(now_s);
-    } else {
-      drain_one(now_s);
-    }
+    drain(now_s);
     schedule_drain();
   });
 }
 
-void NetworkManager::drain_one(double now_s) {
-  ConfigChange change = std::move(pending_.front());
-  pending_.pop_front();
-  // Waiting time is recorded for the first attempt only: retries would
-  // double-count a change and distort the Fig. 10b percentiles.
-  if (change.attempt == 0) {
-    stats_.waiting_times_s.push_back(now_s - change.enqueued_at_s);
-    wait_hist_.observe(now_s - change.enqueued_at_s);
-  }
-  ++change.attempt;
-  const auto applied = compiler_.apply(change);
-  settle_apply(std::move(change), applied, now_s);
-}
-
-void NetworkManager::drain_batch(double now_s) {
-  // One token admits every queued change of the front change's port, FIFO
-  // within the port, through a single compiler invocation.
+void NetworkManager::drain(double now_s) {
+  // One token admits one port-batch through a single compiler invocation:
+  // every queued change of the front change's port, FIFO within the port,
+  // or with batch_apply off the front change alone.
   const filter::PortId port = pending_.front().port;
   std::vector<ConfigChange> batch;
   for (auto it = pending_.begin(); it != pending_.end();) {
@@ -238,11 +219,17 @@ void NetworkManager::drain_batch(double now_s) {
       ++it;
       continue;
     }
-    pending_index_.erase(it->key);
+    // The index keeps the key's newest queued change, which may be a later one.
+    if (const auto idx = pending_index_.find(it->key); idx->second == it) {
+      pending_index_.erase(idx);
+    }
     batch.push_back(std::move(*it));
     it = pending_.erase(it);
+    if (!config_.batch_apply) break;
   }
   for (auto& change : batch) {
+    // Waiting time is recorded for the first attempt only: retries would
+    // double-count a change and distort the Fig. 10b percentiles.
     if (change.attempt == 0) {
       stats_.waiting_times_s.push_back(now_s - change.enqueued_at_s);
       wait_hist_.observe(now_s - change.enqueued_at_s);

@@ -121,7 +121,8 @@ class NetworkManager {
     /// queued changes for the front change's port, in FIFO order, through a
     /// single compiler invocation — and superseded install/remove churn per
     /// change key is coalesced while still queued (before the token bucket).
-    /// Off by default: the per-change pacing is the paper's Fig. 10b setup.
+    /// Off by default: per-change pacing (a port-batch of one, no coalescing)
+    /// is the paper's Fig. 10b setup.
     bool batch_apply = false;
   };
 
@@ -137,15 +138,15 @@ class NetworkManager {
   ///   dead_lettered   == permanent_failures + retry_budget_exhausted
   struct Stats {
     std::uint64_t applied = 0;
-    /// Port-batches drained in batch_apply mode (one token each).
+    /// Port-batches drained, one token each (size 1 with batch_apply off).
     std::uint64_t batches = 0;
-    /// Queued changes annihilated or superseded by key-level coalescing
-    /// before ever reaching the token bucket (batch_apply mode only).
+    /// Queued changes (batch_apply mode) and retries (both modes) annihilated
+    /// or superseded by a newer change for their key.
     std::uint64_t coalesced = 0;
     std::uint64_t failed = 0;  ///< Failed apply attempts (any class).
     std::uint64_t transient_failures = 0;
     std::uint64_t permanent_failures = 0;
-    std::uint64_t retries = 0;        ///< Re-enqueues after transient failures.
+    std::uint64_t retries = 0;        ///< Transient failures given a retry.
     std::uint64_t dead_lettered = 0;  ///< Changes abandoned permanently.
     /// Transient failures dead-lettered because the attempt budget was spent
     /// (the terminal counterpart of retries — never double-counted with
@@ -183,12 +184,13 @@ class NetworkManager {
  private:
   [[nodiscard]] std::size_t queue_depth_now() const { return pending_.size(); }
   void schedule_drain();
-  void drain_one(double now_s);
-  void drain_batch(double now_s);
-  /// Batch-mode admission to pending_: coalesces against a queued change for
-  /// the same key (latest intent wins; install-then-remove for a rule never
-  /// installed annihilates both) instead of appending.
-  void coalesce_or_push(ConfigChange change);
+  /// Spends one token on the front change's port-batch.
+  void drain(double now_s);
+  /// Admission to pending_ for new changes and retries alike. With
+  /// batch_apply it coalesces against a queued change for the same key
+  /// (latest intent wins; install-then-remove for a rule never installed
+  /// annihilates both) instead of appending.
+  void push(ConfigChange change);
   /// Applies one change's outcome bookkeeping (journal, counters, believed-
   /// installed tracking, failure handling).
   void settle_apply(ConfigChange change, const util::Result<void>& applied, double now_s);
@@ -201,21 +203,22 @@ class NetworkManager {
   /// FIFO of queued changes. A list so batch-mode coalescing can splice out
   /// superseded entries by key without disturbing iterator stability.
   std::list<ConfigChange> pending_;
-  /// Batch mode only: key -> queued change (at most one pending per key).
+  /// Key -> its newest queued change (with batch_apply the only one).
   std::map<std::string, std::list<ConfigChange>::iterator> pending_index_;
   /// Keys whose install the compiler has acknowledged (and no later remove):
   /// install-then-remove churn for keys NOT in here annihilates outright.
   std::set<std::string> believed_installed_;
   std::deque<ConfigChange> dead_letter_;
-  /// Changes sitting out a retry backoff, keyed by ticket (for in_flight()).
-  std::map<std::uint64_t, ConfigChange> backoff_changes_;
+  /// Changes sitting out a retry backoff: key -> (ticket, change). A newer
+  /// enqueue of the key drops the retry; the ticket tells stale timers apart.
+  std::map<std::string, std::pair<std::uint64_t, ConfigChange>> backoff_changes_;
   std::uint64_t next_backoff_ticket_ = 0;
   bool drain_scheduled_ = false;
   double last_failed_drain_s_ = -1.0;
   obs::Counter c_applied_ = obs::registry().counter("core.manager.applied");
   obs::Counter c_batches_ = obs::registry().counter("core.manager.batches");
   obs::Counter c_coalesced_ = obs::registry().counter("core.manager.coalesced");
-  /// Changes per drained port-batch (batch_apply mode).
+  /// Changes per drained port-batch (always 1 with batch_apply off).
   obs::Histogram h_batch_size_ = obs::registry().histogram(
       "core.manager.batch_size", obs::HistogramOptions{1.0, 2.0, 12});
   obs::Counter c_failed_ = obs::registry().counter("core.manager.failed");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/ports.hpp"
+#include "sim/fault.hpp"
 
 namespace stellar::core {
 namespace {
@@ -133,10 +134,18 @@ TEST(NetworkManagerTest, LateEnqueueAfterIdlePeriod) {
 }
 
 // ---------------------------------------------------------------------------
-// Retry / dead-letter behaviour.
+// Retry / dead-letter behaviour. Cases that take a NetworkManagerTest
+// parameter run with batch_apply off and on: one drain path serves both.
 
-TEST(NetworkManagerTest, TransientFailureRetriedWithBackoff) {
-  NmFixture f({.rate_per_s = 100.0, .max_burst_size = 10.0, .retry_backoff_s = 2.0});
+class NetworkManagerTest : public ::testing::TestWithParam<bool> {};
+
+INSTANTIATE_TEST_SUITE_P(BatchApply, NetworkManagerTest, ::testing::Bool());
+
+TEST_P(NetworkManagerTest, TransientFailureRetriedWithBackoff) {
+  NmFixture f({.rate_per_s = 100.0,
+               .max_burst_size = 10.0,
+               .retry_backoff_s = 2.0,
+               .batch_apply = GetParam()});
   f.compiler.fail_first = 2;
   f.compiler.fail_code = "transient.tcam-busy";
   f.nm->enqueue(Install("k"));
@@ -164,8 +173,11 @@ TEST(NetworkManagerTest, PermanentFailureDeadLettersWithoutRetry) {
   EXPECT_EQ(f.nm->dead_letter().front().key, "k");
 }
 
-TEST(NetworkManagerTest, TransientExhaustsAttemptBudgetThenDeadLetters) {
-  NmFixture f({.rate_per_s = 100.0, .max_burst_size = 10.0, .max_attempts = 4});
+TEST_P(NetworkManagerTest, TransientExhaustsAttemptBudgetThenDeadLetters) {
+  NmFixture f({.rate_per_s = 100.0,
+               .max_burst_size = 10.0,
+               .max_attempts = 4,
+               .batch_apply = GetParam()});
   f.compiler.fail_first = 1000;  // Never recovers.
   f.compiler.fail_code = "transient.flaky";
   f.nm->enqueue(Install("k"));
@@ -193,10 +205,13 @@ TEST(NetworkManagerTest, ExhaustedRetryBudgetCountsFailuresExactlyOnce) {
   EXPECT_EQ(stats.dead_lettered, 1u);
 }
 
-TEST(NetworkManagerTest, FailureAccountingInvariantsHold) {
+TEST_P(NetworkManagerTest, FailureAccountingInvariantsHold) {
   // Mixed workload: permanent failures, recovered transients, and a
   // dead-lettered transient must each land in exactly one class.
-  NmFixture f({.rate_per_s = 100.0, .max_burst_size = 10.0, .max_attempts = 3});
+  NmFixture f({.rate_per_s = 100.0,
+               .max_burst_size = 10.0,
+               .max_attempts = 3,
+               .batch_apply = GetParam()});
   f.compiler.fail_all = true;  // "F1": permanent under the default rule.
   f.nm->enqueue(Install("p1"));
   f.nm->enqueue(Install("p2"));
@@ -231,8 +246,11 @@ TEST(NetworkManagerTest, CustomTransientClassifierOverridesDefault) {
   EXPECT_EQ(f.nm->stats().dead_lettered, 0u);
 }
 
-TEST(NetworkManagerTest, BackoffChangesVisibleAsInFlight) {
-  NmFixture f({.rate_per_s = 100.0, .max_burst_size = 10.0, .retry_backoff_s = 5.0});
+TEST_P(NetworkManagerTest, BackoffChangesVisibleAsInFlight) {
+  NmFixture f({.rate_per_s = 100.0,
+               .max_burst_size = 10.0,
+               .retry_backoff_s = 5.0,
+               .batch_apply = GetParam()});
   f.compiler.fail_first = 1;
   f.compiler.fail_code = "transient.flaky";
   f.nm->enqueue(Install("k"));
@@ -245,15 +263,53 @@ TEST(NetworkManagerTest, BackoffChangesVisibleAsInFlight) {
   EXPECT_EQ(f.nm->stats().applied, 1u);
 }
 
-TEST(NetworkManagerTest, RetriesDoNotDistortWaitingTimes) {
+TEST_P(NetworkManagerTest, RetriesDoNotDistortWaitingTimes) {
   // Fig 10b percentiles measure queueing delay for *new* changes; a retried
   // change must contribute exactly one waiting-time sample.
-  NmFixture f({.rate_per_s = 100.0, .max_burst_size = 10.0});
+  NmFixture f({.rate_per_s = 100.0, .max_burst_size = 10.0, .batch_apply = GetParam()});
   f.compiler.fail_first = 2;
   f.compiler.fail_code = "transient.flaky";
   f.nm->enqueue(Install("k"));
   f.queue.run_until(sim::Seconds(60.0));
   EXPECT_EQ(f.nm->stats().waiting_times_s.size(), 1u);
+}
+
+TEST_P(NetworkManagerTest, StaleRetryDoesNotResurrectWithdrawnRule) {
+  // Regression: the newest intent for a key wins over a pending retry. A
+  // stale install retry used to re-enter the queue after its backoff and
+  // bring back a rule whose remove had already been applied.
+  sim::EventQueue queue;
+  filter::EdgeRouter er("er1", filter::TcamLimits{});
+  er.add_port(11, 1000.0);
+  QosConfigCompiler qos(er);
+  sim::FlakyCompiler flaky(qos, /*failure_probability=*/0.0, /*seed=*/1);
+  NetworkManager nm(queue, flaky,
+                    {.rate_per_s = 100.0,
+                     .max_burst_size = 10.0,
+                     .retry_backoff_s = 2.0,
+                     .batch_apply = GetParam()});
+
+  // The remove arrives while the failed install sits out its backoff.
+  flaky.fail_next(1);
+  nm.enqueue(Install("k"));
+  queue.run_until(sim::Seconds(0.5));
+  nm.enqueue(Remove("k"));
+  queue.run_until(sim::Seconds(60.0));
+  // The remove is already queued when the install fails. Per change, the
+  // install reaches the compiler first; batched, the pair annihilates.
+  flaky.fail_next(1);
+  nm.enqueue(Install("j"));
+  nm.enqueue(Remove("j"));
+  queue.run_until(sim::Seconds(120.0));
+
+  EXPECT_TRUE(qos.installed_keys().empty());
+  EXPECT_EQ(er.policy(11).rule_count(), 0u);
+  EXPECT_TRUE(nm.in_flight().empty());
+  const auto& stats = nm.stats();
+  EXPECT_EQ(stats.coalesced, 2u);  // One superseded retry or pair per key.
+  EXPECT_EQ(stats.failed, stats.transient_failures + stats.permanent_failures);
+  EXPECT_EQ(stats.transient_failures, stats.retries + stats.retry_budget_exhausted);
+  EXPECT_EQ(stats.dead_lettered, stats.permanent_failures + stats.retry_budget_exhausted);
 }
 
 TEST(NetworkManagerTest, StatsRingBuffersCapRetainedSamples) {

@@ -53,7 +53,7 @@ struct ChaosFixture {
   sim::FlakyCompiler* flaky = nullptr;  // Set when flaky_probability > 0.
 
   ChaosFixture(const sim::FaultPlan& plan, double flaky_probability,
-               bool self_healing = true) {
+               bool self_healing = true, bool batch_apply = false) {
     injector = std::make_unique<sim::FaultInjector>(queue, plan);
     injector->arm();  // Every BGP link created from here on is wrapped.
 
@@ -75,6 +75,7 @@ struct ChaosFixture {
     second_victim = &ixp->add_member(s);
 
     core::StellarSystem::Config config;
+    config.manager.batch_apply = batch_apply;
     if (self_healing) {
       config.controller_reconnect = ChaosReconnectPolicy(plan.seed);
     }
@@ -233,26 +234,31 @@ TEST(ChaosTest, SameSeedYieldsByteIdenticalFaultTrace) {
 
 TEST(ChaosTest, TransientCompilerFailuresAreRetriedNotLost) {
   // Heavier flakiness, no link faults: isolates the retry path. Every change
-  // must eventually land despite ~30% of applies failing transiently.
-  sim::FaultPlan plan;
-  plan.seed = g_seeds.front();
-  ChaosFixture f(plan, /*flaky_probability=*/0.3);
-  f.settle_until(35.0);
-  // Guarantee the retry path fires under any seed: the first attempt at each
-  // signal's install fails deterministically on top of the random flakiness.
-  ASSERT_NE(f.flaky, nullptr);
-  f.flaky->fail_next(2);
-  f.signal_ntp_drop(*f.victim, "100.10.10.10/32");
-  f.signal_ntp_drop(*f.second_victim, "100.30.30.30/32");
-  f.settle_until(120.0);
+  // must eventually land despite ~30% of applies failing transiently, with
+  // the manager draining per change and in port-batches alike.
+  for (const bool batch_apply : {false, true}) {
+    SCOPED_TRACE(batch_apply ? "batch_apply" : "per-change");
+    sim::FaultPlan plan;
+    plan.seed = g_seeds.front();
+    ChaosFixture f(plan, /*flaky_probability=*/0.3, /*self_healing=*/true, batch_apply);
+    f.settle_until(35.0);
+    // Guarantee the retry path fires under any seed: the first attempt at
+    // each signal's install fails deterministically on top of the random
+    // flakiness.
+    ASSERT_NE(f.flaky, nullptr);
+    f.flaky->fail_next(2);
+    f.signal_ntp_drop(*f.victim, "100.10.10.10/32");
+    f.signal_ntp_drop(*f.second_victim, "100.30.30.30/32");
+    f.settle_until(120.0);
 
-  f.expect_converged();
-  EXPECT_EQ(f.ixp->edge_router().policy(f.victim->info().port).rule_count(), 1u);
-  EXPECT_EQ(f.ixp->edge_router().policy(f.second_victim->info().port).rule_count(), 1u);
-  const auto& stats = f.stellar->manager().stats();
-  EXPECT_GT(stats.transient_failures, 0u);
-  EXPECT_GT(stats.retries, 0u);
-  EXPECT_EQ(stats.dead_lettered, 0u);
+    f.expect_converged();
+    EXPECT_EQ(f.ixp->edge_router().policy(f.victim->info().port).rule_count(), 1u);
+    EXPECT_EQ(f.ixp->edge_router().policy(f.second_victim->info().port).rule_count(), 1u);
+    const auto& stats = f.stellar->manager().stats();
+    EXPECT_GT(stats.transient_failures, 0u);
+    EXPECT_GT(stats.retries, 0u);
+    EXPECT_EQ(stats.dead_lettered, 0u);
+  }
 }
 
 TEST(ChaosTest, PartitionTriggersFailSafeThenUnattendedRecovery) {

@@ -10,7 +10,8 @@
 // Part B — network-manager batching: the batched/coalescing queue
 // (Config::batch_apply) must realize byte-identical installed rule sets to
 // the classic per-change queue for the same change sequence, while consuming
-// strictly fewer rate-limiter tokens when there is churn to coalesce.
+// strictly fewer rate-limiter tokens when there is churn to coalesce — and
+// still when a flaky compiler forces retries of both queues.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +27,7 @@
 #include "core/network_manager.hpp"
 #include "filter/edge_router.hpp"
 #include "net/ports.hpp"
+#include "sim/fault.hpp"
 
 namespace stellar::core {
 namespace {
@@ -227,14 +229,23 @@ struct ManagerRig {
   sim::EventQueue queue;
   filter::EdgeRouter router;
   QosConfigCompiler compiler;
+  std::unique_ptr<sim::FlakyCompiler> flaky;  // Set when flaky_probability > 0.
   std::unique_ptr<NetworkManager> nm;
 
-  explicit ManagerRig(bool batch_apply)
+  explicit ManagerRig(bool batch_apply, double flaky_probability = 0.0,
+                      std::uint64_t flaky_seed = 1)
       : router("er", filter::TcamLimits{100000, 100000, 0, 0}), compiler(router) {
     for (filter::PortId port = 11; port <= 14; ++port) router.add_port(port, 1000.0);
     NetworkManager::Config config;
     config.batch_apply = batch_apply;
-    nm = std::make_unique<NetworkManager>(queue, compiler, config);
+    ConfigCompiler* target = &compiler;
+    if (flaky_probability > 0.0) {
+      flaky = std::make_unique<sim::FlakyCompiler>(compiler, flaky_probability, flaky_seed);
+      target = flaky.get();
+      // Enough attempts that no transient change exhausts its budget.
+      config.max_attempts = 64;
+    }
+    nm = std::make_unique<NetworkManager>(queue, *target, config);
   }
 
   /// Byte-exact dump of the realized data plane: every installed key plus
@@ -274,25 +285,21 @@ ConfigChange MakeChange(ConfigChange::Op op, const std::string& key, filter::Por
   return c;
 }
 
-class ManagerBatchingTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ManagerBatchingTest, BatchedQueueRealizesIdenticalRuleSet) {
-  const std::uint64_t seed = GetParam();
-  ManagerRig batched(/*batch_apply=*/true);
-  ManagerRig serial(/*batch_apply=*/false);
-
-  // Controller-shaped change stream: installs of fresh keys, removals of
-  // installed keys, modify churn (remove + reinstall), and within-epoch
-  // install->remove flapping that the batched queue should annihilate.
+/// Controller-shaped change stream, one vector per epoch: installs of fresh
+/// keys, removals of installed keys, modify churn (remove + reinstall), and
+/// within-epoch install->remove flapping that the batched queue should
+/// annihilate.
+std::vector<std::vector<ConfigChange>> ControllerShapedEpochs(std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   struct LiveRule {
     std::string key;
     filter::PortId port;
   };
   std::vector<LiveRule> installed;
-  std::vector<ConfigChange> stream;
+  std::vector<std::vector<ConfigChange>> epochs;
   int next_key = 0;
   for (int epoch = 0; epoch < 10; ++epoch) {
+    std::vector<ConfigChange>& stream = epochs.emplace_back();
     const int ops = 4 + static_cast<int>(rng() % 5);
     for (int i = 0; i < ops; ++i) {
       const filter::PortId port = 11 + static_cast<filter::PortId>(rng() % 4);
@@ -324,7 +331,20 @@ TEST_P(ManagerBatchingTest, BatchedQueueRealizesIdenticalRuleSet) {
       }
     }
   }
+  return epochs;
+}
 
+class ManagerBatchingTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ManagerBatchingTest, BatchedQueueRealizesIdenticalRuleSet) {
+  const std::uint64_t seed = GetParam();
+  ManagerRig batched(/*batch_apply=*/true);
+  ManagerRig serial(/*batch_apply=*/false);
+
+  std::vector<ConfigChange> stream;
+  for (const auto& epoch : ControllerShapedEpochs(seed)) {
+    stream.insert(stream.end(), epoch.begin(), epoch.end());
+  }
   for (const auto& change : stream) {
     batched.nm->enqueue(change);
     serial.nm->enqueue(change);
@@ -342,6 +362,36 @@ TEST_P(ManagerBatchingTest, BatchedQueueRealizesIdenticalRuleSet) {
   EXPECT_LT(batched.nm->stats().batches, serial.nm->stats().applied) << "seed=" << seed;
   EXPECT_EQ(batched.router.tcam_release_errors(), 0u);
   EXPECT_EQ(serial.router.tcam_release_errors(), 0u);
+}
+
+TEST_P(ManagerBatchingTest, BatchedQueueMatchesSerialUnderTransientFailures) {
+  // Both queues behind a compiler that fails 30% of applies transiently.
+  // Epochs arrive while earlier failures sit out their backoff, so newer
+  // changes supersede pending retries of their key on both sides.
+  const std::uint64_t seed = GetParam();
+  ManagerRig batched(/*batch_apply=*/true, /*flaky_probability=*/0.3, seed);
+  ManagerRig serial(/*batch_apply=*/false, /*flaky_probability=*/0.3, seed);
+  double at_s = 0.0;
+  for (const auto& epoch : ControllerShapedEpochs(seed)) {
+    for (ManagerRig* rig : {&batched, &serial}) {
+      rig->queue.run_until(sim::Seconds(at_s));
+      for (const auto& change : epoch) rig->nm->enqueue(change);
+    }
+    at_s += 1.5;
+  }
+  batched.queue.run_until(sim::Seconds(10000.0));
+  serial.queue.run_until(sim::Seconds(10000.0));
+  ASSERT_TRUE(batched.nm->in_flight().empty());
+  ASSERT_TRUE(serial.nm->in_flight().empty());
+
+  // Dead-letter sets may differ: batched coalescing annihilates some removes
+  // of never-installed keys that the serial queue dead-letters.
+  EXPECT_EQ(batched.dump(), serial.dump()) << "seed=" << seed;
+  for (const ManagerRig* rig : {&batched, &serial}) {
+    EXPECT_GT(rig->nm->stats().retries, 0u) << "seed=" << seed;
+    EXPECT_EQ(rig->nm->stats().retry_budget_exhausted, 0u) << "seed=" << seed;
+    EXPECT_EQ(rig->router.tcam_release_errors(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ManagerBatchingTest, ::testing::Values(1, 2, 3, 4));

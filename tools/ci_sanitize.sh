@@ -30,6 +30,11 @@ OBS_SNAPSHOT_DIR=${OBS_SNAPSHOT_DIR:-"$BUILD_DIR"/obs-snapshot}
 mkdir -p "$OBS_SNAPSHOT_DIR"
 "$BUILD_DIR"/bench/fig10c_auto_detect --smoke --obs-out="$OBS_SNAPSHOT_DIR"
 
+# Batched manager smoke test: the port-batch drain and key coalescing (list
+# splices behind a key->iterator index) under the sanitizers. Its gates run on
+# the sim clock, so the verdict is deterministic here too.
+"$BUILD_DIR"/bench/signal_storm --smoke
+
 # Chaos sweep: rerun the fault-injection attack scenario under three distinct
 # fault-plan seeds. ctest already ran the default seed set; this sweep pins
 # each seed individually so a failure names the seed that broke recovery.
