@@ -203,7 +203,10 @@ void BM_TcamAllocateRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_TcamAllocateRelease);
 
-void BM_FabricLpm(benchmark::State& state) {
+// Owner-table LPM. Flat: N member /20s (the L-IXP plan), every lookup a
+// hit. Nested: N /20s, a /24 more-specific inside each on another port and
+// a /0 default, with lookups half inside a /24 and half only under its /20.
+void BM_FabricLpm(benchmark::State& state, bool nested) {
   filter::EdgeRouter er("er1", filter::TcamLimits{});
   ixp::Fabric fabric(er);
   const auto owners = static_cast<std::uint32_t>(state.range(0));
@@ -211,20 +214,34 @@ void BM_FabricLpm(benchmark::State& state) {
     er.add_port(i + 1, 10'000.0);
     fabric.register_owner(net::Prefix4(net::IPv4Address((60u << 24) | (i << 12)), 20), i + 1);
   }
+  if (nested) {
+    er.add_port(owners + 1, 10'000.0);
+    fabric.register_owner(net::Prefix4(), owners + 1);
+    for (std::uint32_t i = 0; i < owners; ++i) {
+      fabric.register_owner(net::Prefix4(net::IPv4Address((60u << 24) | (i << 12)), 24),
+                            (i + 1) % owners + 1);
+    }
+  }
   util::Rng rng(1);
   std::vector<net::IPv4Address> lookups;
   for (int i = 0; i < 1024; ++i) {
+    // Host .5 of the /20's first /24 (inside the /24 when nested), or of
+    // its second /24 (a /24 miss that falls back to the /20).
+    const std::uint32_t slash24 = nested && rng.chance(0.5) ? 1u : 0u;
     lookups.push_back(net::IPv4Address(
-        (60u << 24) | (static_cast<std::uint32_t>(rng.uniform_int(0, owners - 1)) << 12) | 5u));
+        (60u << 24) | (static_cast<std::uint32_t>(rng.uniform_int(0, owners - 1)) << 12) |
+        (slash24 << 8) | 5u));
   }
   std::size_t i = 0;
   for (auto _ : state) {
     filter::PortId port = 0;
     benchmark::DoNotOptimize(fabric.lookup_egress(lookups[i++ % lookups.size()], port));
+    benchmark::DoNotOptimize(port);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FabricLpm)->Arg(100)->Arg(800);
+BENCHMARK_CAPTURE(BM_FabricLpm, flat, false)->Name("BM_FabricLpm")->Arg(100)->Arg(800);
+BENCHMARK_CAPTURE(BM_FabricLpm, nested, true)->Arg(800);
 
 void BM_FlowCollectorIngest(benchmark::State& state) {
   // Per-sample ingest over a realistic mix (many peers, amplification-heavy

@@ -7,10 +7,13 @@
 //     chooses egress filtering), including port-capacity congestion.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "filter/edge_router.hpp"
@@ -24,16 +27,10 @@ class Fabric {
   /// traffic towards dst? Wired to MemberRouter::blackholes.
   using IngressBlackholeFn = std::function<bool(const net::MacAddress&, net::IPv4Address)>;
 
-  /// Where the platform filters: egress (paper's choice) or ingress
-  /// (the §4.5 "future work" variant for capacity-constrained platforms;
-  /// see bench/ablation_egress_vs_ingress).
-  enum class FilterLocation { kEgress, kIngress };
-
-  explicit Fabric(filter::EdgeRouter& edge_router,
-                  FilterLocation location = FilterLocation::kEgress)
-      : edge_router_(edge_router), location_(location) {}
+  explicit Fabric(filter::EdgeRouter& edge_router) : edge_router_(edge_router) {}
 
   /// Registers that `space` is reachable via `port` (the owning member).
+  /// A prefix registered twice keeps its first port.
   void register_owner(const net::Prefix4& space, filter::PortId port);
 
   void set_ingress_blackhole_fn(IngressBlackholeFn fn) { ingress_blackhole_ = std::move(fn); }
@@ -49,9 +46,12 @@ class Fabric {
     double rule_dropped_mbps = 0.0;        ///< Stellar drop rules.
     double shaper_dropped_mbps = 0.0;      ///< Stellar shaper excess.
     double congestion_dropped_mbps = 0.0;  ///< Member port overload.
-    /// Flows that actually reached members, after all filtering.
+    /// Flows that actually reached members, after all filtering: ascending
+    /// egress port, then arrival order within a port.
     std::vector<net::FlowSample> delivered;
-    /// Per egress-port breakdown.
+    /// Per egress-port breakdown: totals and rule_counters. Each port's
+    /// `delivered` is left empty; its flows are stored once, in `delivered`
+    /// above.
     std::map<filter::PortId, filter::PortBinResult> per_port;
     /// Distinct ingress members whose traffic was RTBH-dropped.
     std::set<net::MacAddress> rtbh_dropped_peers;
@@ -62,9 +62,11 @@ class Fabric {
 
  private:
   filter::EdgeRouter& edge_router_;
-  FilterLocation location_;
-  /// Owner table sorted by descending prefix length for LPM.
-  std::vector<std::pair<net::Prefix4, filter::PortId>> owners_;
+  /// Owner table for LPM: one exact-match map per prefix length, keyed by
+  /// the prefix's network address, and bit L of `owner_lengths_` set iff
+  /// `owners_[L]` is non-empty.
+  std::array<std::unordered_map<std::uint32_t, filter::PortId>, 33> owners_;
+  std::uint64_t owner_lengths_ = 0;
   IngressBlackholeFn ingress_blackhole_;
 };
 

@@ -26,7 +26,7 @@ Ixp::Ixp(sim::EventQueue& queue, Config config)
     : queue_(queue),
       config_(config),
       edge_router_("er1", config.tcam, config.cpu),
-      fabric_(edge_router_, config.filter_location),
+      fabric_(edge_router_),
       route_server_(queue,
                     MakeRouteServerConfig(config, irr_, irr6_, rpki_, bogons_, bogons6_)) {
   fabric_.set_ingress_blackhole_fn(

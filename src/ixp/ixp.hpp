@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "filter/edge_router.hpp"
@@ -39,7 +40,6 @@ class Ixp {
     /// Edge-router hardware limits; zero pools = unlimited (functional tests).
     filter::TcamLimits tcam{};
     filter::CpuModelConfig cpu{};
-    Fabric::FilterLocation filter_location = Fabric::FilterLocation::kEgress;
     bool enable_rpki = true;
   };
 
@@ -89,7 +89,7 @@ class Ixp {
   RouteServer route_server_;
   std::vector<std::unique_ptr<MemberRouter>> members_;
   std::map<bgp::Asn, MemberRouter*> by_asn_;
-  std::map<net::MacAddress, MemberRouter*> by_mac_;
+  std::unordered_map<net::MacAddress, MemberRouter*> by_mac_;
 };
 
 /// Parameters of the synthetic L-IXP.

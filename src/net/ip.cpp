@@ -159,10 +159,6 @@ Prefix4::Prefix4(IPv4Address addr, std::uint8_t length) : length_(length) {
   addr_ = IPv4Address(addr.value() & mask());
 }
 
-std::uint32_t Prefix4::mask() const {
-  return length_ == 0 ? 0 : ~std::uint32_t{0} << (32 - length_);
-}
-
 util::Result<Prefix4> Prefix4::Parse(std::string_view text) {
   const auto slash = text.find('/');
   const std::string_view addr_part = text.substr(0, slash);
@@ -176,12 +172,6 @@ util::Result<Prefix4> Prefix4::Parse(std::string_view text) {
     }
   }
   return Prefix4(*addr, static_cast<std::uint8_t>(len));
-}
-
-bool Prefix4::contains(IPv4Address a) const { return (a.value() & mask()) == addr_.value(); }
-
-bool Prefix4::contains(const Prefix4& other) const {
-  return other.length_ >= length_ && contains(other.addr_);
 }
 
 std::string Prefix4::str() const { return addr_.str() + "/" + std::to_string(length_); }

@@ -79,10 +79,19 @@ class Prefix4 {
 
   [[nodiscard]] IPv4Address address() const { return addr_; }
   [[nodiscard]] std::uint8_t length() const { return length_; }
-  [[nodiscard]] std::uint32_t mask() const;
-  [[nodiscard]] bool contains(IPv4Address a) const;
+  /// The netmask of a `length`-bit prefix, host order (0 for /0).
+  [[nodiscard]] static constexpr std::uint32_t MaskOf(std::uint8_t length) {
+    return length == 0 ? 0 : ~std::uint32_t{0} << (32 - length);
+  }
+  // Inline: these run once per flow and rule on the data-plane paths.
+  [[nodiscard]] std::uint32_t mask() const { return MaskOf(length_); }
+  [[nodiscard]] bool contains(IPv4Address a) const {
+    return (a.value() & mask()) == addr_.value();
+  }
   /// True if `other` is equal to or more specific than *this.
-  [[nodiscard]] bool contains(const Prefix4& other) const;
+  [[nodiscard]] bool contains(const Prefix4& other) const {
+    return other.length_ >= length_ && contains(other.addr_);
+  }
   [[nodiscard]] std::string str() const;
 
   friend constexpr auto operator<=>(const Prefix4&, const Prefix4&) = default;

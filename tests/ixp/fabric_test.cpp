@@ -44,6 +44,49 @@ TEST(FabricTest, LongestPrefixMatchWins) {
   EXPECT_EQ(port, 1u);
 }
 
+TEST(FabricTest, DefaultOwnerCatchesWhatNoMoreSpecificOwns) {
+  FabricFixture f;
+  f.fabric.register_owner(net::Prefix4(), 2);
+  filter::PortId port = 0;
+  ASSERT_TRUE(f.fabric.lookup_egress(net::IPv4Address(9, 9, 9, 9), port));
+  EXPECT_EQ(port, 2u);
+  ASSERT_TRUE(f.fabric.lookup_egress(net::IPv4Address(100, 10, 10, 5), port));
+  EXPECT_EQ(port, 1u);
+}
+
+TEST(FabricTest, HostRouteOwner) {
+  FabricFixture f;
+  f.fabric.register_owner(P4("100.10.10.77/32"), 2);
+  filter::PortId port = 0;
+  ASSERT_TRUE(f.fabric.lookup_egress(net::IPv4Address(100, 10, 10, 77), port));
+  EXPECT_EQ(port, 2u);
+  ASSERT_TRUE(f.fabric.lookup_egress(net::IPv4Address(100, 10, 10, 78), port));
+  EXPECT_EQ(port, 1u);
+}
+
+TEST(FabricTest, DuplicateOwnerKeepsFirstPort) {
+  FabricFixture f;
+  f.fabric.register_owner(P4("100.10.10.0/24"), 2);
+  filter::PortId port = 0;
+  ASSERT_TRUE(f.fabric.lookup_egress(net::IPv4Address(100, 10, 10, 5), port));
+  EXPECT_EQ(port, 1u);
+}
+
+TEST(FabricTest, OwnerRegisteredBetweenBinsTakesEffectNextBin) {
+  FabricFixture f;
+  const std::vector<net::FlowSample> offered{Flow(65009, net::IPv4Address(9, 9, 9, 9), 100)};
+  const auto before = f.fabric.deliver(offered, 1.0);
+  EXPECT_NEAR(before.unrouted_mbps, 100.0, 1.0);
+  EXPECT_TRUE(before.per_port.empty());
+
+  f.fabric.register_owner(P4("9.9.9.0/24"), 2);
+  const auto after = f.fabric.deliver(offered, 1.0);
+  EXPECT_DOUBLE_EQ(after.unrouted_mbps, 0.0);
+  EXPECT_NEAR(after.delivered_mbps, 100.0, 1.0);
+  ASSERT_EQ(after.per_port.size(), 1u);
+  EXPECT_NEAR(after.per_port.at(2).delivered_mbps, 100.0, 1.0);
+}
+
 TEST(FabricTest, UnroutedTrafficCounted) {
   FabricFixture f;
   const std::vector<net::FlowSample> offered{Flow(65009, net::IPv4Address(9, 9, 9, 9), 100)};
@@ -111,6 +154,30 @@ TEST(FabricTest, DeliveredSamplesPreserveFlowIdentity) {
   const auto report = f.fabric.deliver({&flow, 1}, 1.0);
   ASSERT_EQ(report.delivered.size(), 1u);
   EXPECT_EQ(report.delivered[0].key, flow.key);
+}
+
+TEST(FabricTest, PerPortTotalsSumToDeliveredAndFlowsAreStoredOnce) {
+  FabricFixture f;
+  // Arrival order interleaves the two ports; port 1 (1 Gbps) congests.
+  const std::vector<net::FlowSample> offered{
+      Flow(65009, net::IPv4Address(60, 2, 0, 5), 200),
+      Flow(65009, net::IPv4Address(100, 10, 10, 10), 700),
+      Flow(65009, net::IPv4Address(60, 2, 0, 6), 300),
+      Flow(65009, net::IPv4Address(100, 10, 10, 11), 600)};
+  const auto report = f.fabric.deliver(offered, 1.0);
+  double per_port_sum = 0.0;
+  for (const auto& [port, result] : report.per_port) {
+    per_port_sum += result.delivered_mbps;
+    EXPECT_TRUE(result.delivered.empty()) << "port " << port;
+  }
+  EXPECT_DOUBLE_EQ(per_port_sum, report.delivered_mbps);
+  EXPECT_GT(report.congestion_dropped_mbps, 0.0);
+  // Ascending egress port, then arrival order within a port.
+  ASSERT_EQ(report.delivered.size(), 4u);
+  EXPECT_EQ(report.delivered[0].key.dst_ip, net::IPv4Address(100, 10, 10, 10));
+  EXPECT_EQ(report.delivered[1].key.dst_ip, net::IPv4Address(100, 10, 10, 11));
+  EXPECT_EQ(report.delivered[2].key.dst_ip, net::IPv4Address(60, 2, 0, 5));
+  EXPECT_EQ(report.delivered[3].key.dst_ip, net::IPv4Address(60, 2, 0, 6));
 }
 
 TEST(FabricTest, ConservationAcrossAllDropClasses) {

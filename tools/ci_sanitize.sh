@@ -41,3 +41,10 @@ mkdir -p "$OBS_SNAPSHOT_DIR"
 for seed in 1 2 3; do
   "$BUILD_DIR"/tests/chaos_test --seed="$seed"
 done
+
+# Fabric data-plane smoke tests: the per-port pass hands EdgeRouter::deliver a
+# span into one reused demand buffer, so these catch a span that outlives it.
+# fig3c drives ingress-RTBH drops through the per-MAC blackhole check;
+# fig10c_stellar_attack drives the egress QoS path.
+"$BUILD_DIR"/bench/fig3c_rtbh_attack
+"$BUILD_DIR"/bench/fig10c_stellar_attack
