@@ -37,6 +37,7 @@ void MemberRouter::connect(std::shared_ptr<bgp::Endpoint> transport) {
   config.announce_ipv6_unicast = info_.address_space6.has_value();
   session_ = std::make_unique<bgp::Session>(queue_, std::move(transport), config);
   session_->set_update_handler([this](const bgp::UpdateMessage& u) { on_update(u); });
+  session_->set_state_handler([this](bgp::SessionState state) { on_state(state); });
   session_->start();
 }
 
@@ -50,6 +51,7 @@ void MemberRouter::connect_resilient(bgp::ReconnectingSession::TransportFactory 
   reconnector_ = std::make_unique<bgp::ReconnectingSession>(queue_, std::move(factory),
                                                             config, policy);
   reconnector_->set_update_handler([this](const bgp::UpdateMessage& u) { on_update(u); });
+  reconnector_->set_state_handler([this](bgp::SessionState state) { on_state(state); });
   reconnector_->set_established_handler([this](bgp::Session& session) {
     // Resync both directions on every establishment (including the first —
     // connect_resilient may have replaced a live session, withdrawing our
@@ -59,6 +61,15 @@ void MemberRouter::connect_resilient(bgp::ReconnectingSession::TransportFactory 
     replay_announcements();
   });
   reconnector_->start();
+}
+
+void MemberRouter::on_state(bgp::SessionState state) {
+  // RFC 4271: routes learned over a connection go with it. The re-joined
+  // session's refresh re-sends only current routes, so a route withdrawn
+  // while the session was down must not survive here.
+  if (state != bgp::SessionState::kClosed) return;
+  ribs_ = {};
+  blackholed_ = {};
 }
 
 void MemberRouter::request_refresh(bgp::Session& session) {

@@ -50,10 +50,11 @@ std::shared_ptr<bgp::Endpoint> RouteServer::accept_member(bgp::Asn member_asn) {
     }
   }
   if (slot == members_.size()) {
-    members_.push_back(MemberPeer{member_asn, nullptr, {}});
+    members_.push_back(MemberPeer{member_asn, nullptr});
   } else {
     // Fresh Adj-RIB-Out: the rejoining router remembers nothing we exported.
-    members_[slot].exported = {};
+    forget_exports<net::Prefix4>(slot);
+    forget_exports<net::Prefix6>(slot);
   }
   const bgp::PeerId peer = static_cast<bgp::PeerId>(slot + 1);  // Index + 1.
   auto session = std::make_unique<bgp::Session>(queue_, server_side, session_config);
@@ -130,9 +131,9 @@ void RouteServer::import_update(bgp::PeerId peer, const bgp::UpdateMessage& upda
   auto& rib = ribs_.get<PrefixT>();
   std::vector<PrefixT> touched;
 
-  bgp::Afi<PrefixT>::for_each_withdrawn(update, [&](const PrefixT& prefix, bgp::PathId) {
-    // A pure withdraw carries no attributes: the event describes the scope
-    // of the route being withdrawn.
+  // A pure withdraw carries no attributes: the event describes the scope of
+  // the route being withdrawn.
+  const auto withdraw = [&](const PrefixT& prefix) {
     const auto withdrawn = rib.find(prefix, peer);
     if (!withdrawn) return;
     rib.withdraw(prefix, peer);
@@ -141,10 +142,17 @@ void RouteServer::import_update(bgp::PeerId peer, const bgp::UpdateMessage& upda
     if (withdrawn->has_community(bgp::kBlackhole)) {
       log_blackhole_event(from, prefix, *withdrawn, /*withdrawn=*/true);
     }
-  });
+  };
+  bgp::Afi<PrefixT>::for_each_withdrawn(
+      update, [&](const PrefixT& prefix, bgp::PathId) { withdraw(prefix); });
 
   bgp::Afi<PrefixT>::for_each_announced(update, [&](const PrefixT& prefix, bgp::PathId) {
-    if (!import_accept(from, prefix, update.attrs)) return;
+    // A rejected announcement replaces the member's earlier route for the
+    // prefix all the same: treat it as a withdraw of that route.
+    if (!import_accept(from, prefix, update.attrs)) {
+      withdraw(prefix);
+      return;
+    }
     // Members do not use ADD-PATH northbound.
     bgp::BasicRoute<PrefixT> route{prefix, peer, 0, update.attrs};
     if (!rib.insert(route)) return;
@@ -158,7 +166,7 @@ void RouteServer::import_update(bgp::PeerId peer, const bgp::UpdateMessage& upda
     }
   });
 
-  for (const auto& prefix : touched) reexport(prefix);
+  for (const auto& prefix : touched) reexport(prefix, 0, members_.size());
 }
 
 template <typename PrefixT>
@@ -184,7 +192,7 @@ void RouteServer::withdraw_peer(bgp::PeerId peer) {
   }
   for (const auto& prefix : touched) {
     if constexpr (bgp::Afi<PrefixT>::kCode == bgp::kAfiIPv4) controller_withdraw(prefix, peer);
-    reexport(prefix);
+    reexport(prefix, 0, members_.size());
   }
 }
 
@@ -192,10 +200,16 @@ template <typename PrefixT>
 void RouteServer::refresh_member(std::size_t member_index) {
   // Forget what was exported so everything eligible is re-sent, letting the
   // member's (possibly changed) import policy re-evaluate each route.
-  members_[member_index].exported.get<PrefixT>().clear();
+  forget_exports<PrefixT>(member_index);
   for (const auto& prefix : ribs_.get<PrefixT>().prefixes()) {
-    ExportCache cache;
-    reexport_to(member_index, prefix, paths_of(prefix), cache);
+    reexport(prefix, member_index, member_index + 1);
+  }
+}
+
+template <typename PrefixT>
+void RouteServer::forget_exports(std::size_t member_index) {
+  for (auto& [prefix, slots] : adj_rib_out_.get<PrefixT>()) {
+    if (member_index < slots.size()) slots[member_index].reset();
   }
 }
 
@@ -269,62 +283,49 @@ void RouteServer::log_blackhole_event(const MemberPeer& from, const PrefixT& pre
 }
 
 template <typename PrefixT>
-std::vector<RouteServer::PathRef> RouteServer::paths_of(const PrefixT& prefix) const {
-  std::vector<PathRef> paths;
-  ribs_.get<PrefixT>().visit_prefix(prefix, [&](const bgp::BasicRouteView<PrefixT>& r) {
-    paths.push_back(PathRef{r.peer, r.path_id, &r.attrs});
-  });
-  return paths;
-}
-
-template <typename PrefixT>
-void RouteServer::reexport(const PrefixT& prefix) {
-  // One RIB walk and one export-attribute computation per distinct best path,
-  // shared across the whole member fan-out: O(paths + members) per prefix
-  // instead of O(paths * members) at L-IXP scale.
-  const std::vector<PathRef> paths = paths_of(prefix);
-  ExportCache cache;
-  for (std::size_t i = 0; i < members_.size(); ++i) reexport_to(i, prefix, paths, cache);
-}
-
-template <typename PrefixT>
-void RouteServer::reexport_to(std::size_t member_index, const PrefixT& prefix,
-                              const std::vector<PathRef>& paths, ExportCache& cache) {
-  MemberPeer& target = members_[member_index];
-  const bgp::PeerId target_peer = static_cast<bgp::PeerId>(member_index + 1);
-
-  // Best eligible route for this peer (not its own, scope allows).
-  struct Cand {
-    const bgp::PathAttributes& attrs;
-    bgp::PeerId peer;
-    bgp::PathId path_id;
-  };
-  const PathRef* best = nullptr;
-  for (const auto& r : paths) {
-    if (r.peer == target_peer) continue;
-    if (!eligible(*r.attrs, target.asn)) continue;
-    if (best == nullptr || bgp::BetterPath(Cand{*r.attrs, r.peer, r.path_id},
-                                           Cand{*best->attrs, best->peer, best->path_id})) {
-      best = &r;
+void RouteServer::reexport(const PrefixT& prefix, std::size_t first, std::size_t last) {
+  // One RIB walk per re-export, shared across the member fan-out.
+  std::vector<bgp::BasicRouteView<PrefixT>> paths;
+  ribs_.get<PrefixT>().visit_prefix(
+      prefix, [&](const bgp::BasicRouteView<PrefixT>& r) { paths.push_back(r); });
+  auto& records = adj_rib_out_.get<PrefixT>();
+  auto record = records.find(prefix);
+  if (record == records.end()) {
+    // No member holds the prefix and no path may go to any member (every
+    // Stellar signal: announce-to-none without an include-peer), so the
+    // fan-out would send nothing.
+    if (std::none_of(paths.begin(), paths.end(),
+                     [this](const auto& r) { return exportable(r.attrs); })) {
+      return;
     }
+    record = records.try_emplace(prefix).first;
   }
-
-  auto& exported_map = target.exported.get<PrefixT>();
-  const auto exported = exported_map.find(prefix);
-  if (best == nullptr) {
-    if (exported != exported_map.end()) {
-      exported_map.erase(exported);
-      target.session->announce(bgp::Afi<PrefixT>::withdraw(prefix));
+  auto& slots = record->second;
+  // Export attributes per path index, interned at most once per fan-out. The
+  // extra last entry stays null: "no eligible path".
+  std::vector<std::shared_ptr<const bgp::PathAttributes>> out_attrs(paths.size() + 1);
+  for (std::size_t i = first; i < last; ++i) {
+    const bgp::PeerId target_peer = static_cast<bgp::PeerId>(i + 1);
+    // Best eligible path for this member (not its own, scope allows).
+    std::size_t best = paths.size();
+    for (std::size_t p = 0; p < paths.size(); ++p) {
+      if (paths[p].peer == target_peer || !eligible(paths[p].attrs, members_[i].asn)) continue;
+      if (best == paths.size() || bgp::BetterPath(paths[p], paths[best])) best = p;
     }
-    return;
+    auto& out = out_attrs[best];
+    if (out == nullptr && best < paths.size()) {
+      out = bgp::Intern(member_export_attrs<PrefixT>(paths[best].attrs));
+    }
+    if (i >= slots.size()) slots.resize(members_.size());
+    // Interned pointers: equal <=> the exported attributes are unchanged.
+    if (slots[i] == out) continue;
+    slots[i] = out;
+    members_[i].session->announce(out != nullptr ? bgp::Afi<PrefixT>::announce(*out, prefix)
+                                                 : bgp::Afi<PrefixT>::withdraw(prefix));
   }
-  auto [cached, fresh] = cache.try_emplace({best->peer, best->path_id});
-  if (fresh) cached->second = bgp::Intern(member_export_attrs<PrefixT>(*best->attrs));
-  const std::shared_ptr<const bgp::PathAttributes>& out = cached->second;
-  // Interned pointers: equal <=> the exported attributes are unchanged.
-  if (exported != exported_map.end() && exported->second == out) return;
-  exported_map[prefix] = out;
-  target.session->announce(bgp::Afi<PrefixT>::announce(*out, prefix));
+  if (std::all_of(slots.begin(), slots.end(), [](const auto& a) { return a == nullptr; })) {
+    records.erase(record);
+  }
 }
 
 bool RouteServer::eligible(const bgp::PathAttributes& attrs, bgp::Asn target) const {
@@ -333,6 +334,15 @@ bool RouteServer::eligible(const bgp::PathAttributes& attrs, bgp::Asn target) co
     return attrs.has_community(include_peer(target));
   }
   return !attrs.has_community(exclude_peer(target));
+}
+
+bool RouteServer::exportable(const bgp::PathAttributes& attrs) const {
+  if (attrs.has_community(bgp::kNoAdvertise)) return false;
+  if (!attrs.has_community(announce_to_none())) return true;
+  // Announce-to-none reaches only include-peer (ixp:peer) targets.
+  return std::any_of(attrs.communities.begin(), attrs.communities.end(), [this](bgp::Community c) {
+    return c.asn() == static_cast<std::uint16_t>(config_.asn);
+  });
 }
 
 template <typename PrefixT>

@@ -114,38 +114,27 @@ class RouteServer {
   [[nodiscard]] bgp::Asn member_asn_of_peer(bgp::PeerId peer) const;
 
  private:
+  /// Adj-RIB-Out record of one prefix: slot i holds the interned attributes
+  /// last sent to member i. A null slot, or one past the end, means "not
+  /// exported"; a prefix absent from the map is held by no member. Interned:
+  /// all members holding the same best path share one allocation, and the
+  /// did-it-change check is a pointer comparison.
   template <typename PrefixT>
-  using ExportMap = std::map<PrefixT, std::shared_ptr<const bgp::PathAttributes>>;
+  using AdjRibOut = std::map<PrefixT, std::vector<std::shared_ptr<const bgp::PathAttributes>>>;
   template <typename PrefixT>
   using EventLog = std::vector<BasicBlackholeEvent<PrefixT>>;
 
   struct MemberPeer {
     bgp::Asn asn = 0;
     std::unique_ptr<bgp::Session> session;
-    /// Last attributes exported to this peer, per prefix (empty = withdrawn).
-    /// Interned: all ~N members exporting the same best path share one
-    /// allocation, and the did-it-change check is a pointer comparison.
-    bgp::PerAfi<ExportMap> exported;
   };
-
-  /// Borrowed view of one RIB path, shared across the per-member export loop
-  /// so the RIB is walked once per re-export instead of once per member.
-  struct PathRef {
-    bgp::PeerId peer = 0;
-    bgp::PathId path_id = 0;
-    const bgp::PathAttributes* attrs = nullptr;
-  };
-  /// (peer, path_id) -> interned export attributes, computed at most once per
-  /// distinct best path within one re-export fan-out.
-  using ExportCache =
-      std::map<std::pair<bgp::PeerId, bgp::PathId>, std::shared_ptr<const bgp::PathAttributes>>;
 
   void on_member_update(bgp::PeerId peer, const bgp::UpdateMessage& update);
   /// Implicit withdraw on session failure: every route of the dead peer is
   /// removed and withdrawn from members and the controller.
   void on_member_session_closed(bgp::PeerId peer);
-  /// ROUTE-REFRESH from a member: clears the per-peer Adj-RIB-Out bookkeeping
-  /// for the AFI and re-sends every eligible route.
+  /// ROUTE-REFRESH from a member: forgets what was exported to it for the
+  /// AFI and re-sends every eligible route.
   void on_member_refresh(bgp::PeerId peer, const bgp::RouteRefreshMessage& refresh);
 
   // Per-AFI halves of the three handlers above.
@@ -155,6 +144,9 @@ class RouteServer {
   void withdraw_peer(bgp::PeerId peer);
   template <typename PrefixT>
   void refresh_member(std::size_t member_index);
+  /// Nulls member_index's slot in every Adj-RIB-Out record of the AFI.
+  template <typename PrefixT>
+  void forget_exports(std::size_t member_index);
 
   template <typename PrefixT>
   [[nodiscard]] bool import_accept(const MemberPeer& from, const PrefixT& prefix,
@@ -162,15 +154,15 @@ class RouteServer {
   template <typename PrefixT>
   void log_blackhole_event(const MemberPeer& from, const PrefixT& prefix,
                            const bgp::PathAttributes& attrs, bool withdrawn);
+  /// Re-runs best-path selection for `prefix` towards members [first, last),
+  /// in ascending order, and sends each one the announce or withdraw that
+  /// brings it in line with its Adj-RIB-Out slot.
   template <typename PrefixT>
-  [[nodiscard]] std::vector<PathRef> paths_of(const PrefixT& prefix) const;
-  template <typename PrefixT>
-  void reexport(const PrefixT& prefix);
-  template <typename PrefixT>
-  void reexport_to(std::size_t member_index, const PrefixT& prefix,
-                   const std::vector<PathRef>& paths, ExportCache& cache);
+  void reexport(const PrefixT& prefix, std::size_t first, std::size_t last);
   /// True if a route with these attributes may be exported to `target`.
   [[nodiscard]] bool eligible(const bgp::PathAttributes& attrs, bgp::Asn target) const;
+  /// True if eligible() may accept these attributes for some member.
+  [[nodiscard]] bool exportable(const bgp::PathAttributes& attrs) const;
   /// Attributes as exported to members: scope communities stripped, blackhole
   /// next-hop rewritten, Stellar extended communities removed.
   template <typename PrefixT>
@@ -182,6 +174,7 @@ class RouteServer {
   Config config_;
   std::vector<MemberPeer> members_;  ///< PeerId = index + 1.
   bgp::PerAfi<bgp::BasicRib> ribs_;  ///< All accepted member routes.
+  bgp::PerAfi<AdjRibOut> adj_rib_out_;
   std::unique_ptr<bgp::Session> controller_session_;
   RejectStats rejects_;
   bgp::PerAfi<EventLog> events_;

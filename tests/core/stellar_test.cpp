@@ -153,5 +153,31 @@ TEST(StellarSystemTest, EscalationShapeThenDrop) {
   EXPECT_EQ(policy.rules()[0].rule.action, filter::FilterAction::kDrop);
 }
 
+TEST(StellarSystemTest, SignalReannouncedWithOriginMismatchIsWithdrawn) {
+  StellarFixture f;
+  const ixp::RouteServer& rs = f.ixp->route_server();
+  SignalAdvancedBlackholing(*f.victim, rs, P4("100.10.10.10/32"), NtpDrop());
+  f.settle();
+  ASSERT_EQ(f.stellar->controller().desired().size(), 1u);
+  const auto origin_mismatch = rs.rejects().origin_mismatch;
+
+  // The same signal again, over a path the victim does not originate: the
+  // route server rejects it, and the rejected path replaces the signal.
+  bgp::UpdateMessage u;
+  u.attrs.origin = bgp::Origin::kIgp;
+  u.attrs.as_path = {{bgp::AsPathSegment::Type::kSequence, {65099}}};
+  u.attrs.next_hop = f.victim->info().router_ip;
+  u.attrs.communities = {rs.announce_to_none()};
+  u.attrs.extended_communities =
+      EncodeSignal(static_cast<std::uint16_t>(rs.config().asn), NtpDrop()).value();
+  u.announced = {{0, P4("100.10.10.10/32")}};
+  f.victim->session()->announce(u);
+  f.settle();
+  EXPECT_EQ(rs.rejects().origin_mismatch, origin_mismatch + 1);
+  EXPECT_TRUE(rs.adj_rib_in().routes_for(P4("100.10.10.10/32")).empty());
+  EXPECT_TRUE(f.stellar->controller().desired().empty());
+  EXPECT_EQ(f.ixp->edge_router().policy(f.victim->info().port).rule_count(), 0u);
+}
+
 }  // namespace
 }  // namespace stellar::core

@@ -174,5 +174,29 @@ TEST(ResilienceTest, WithdrawBeforeFailureIsNotDoubleRemoved) {
   EXPECT_EQ(f.stellar->manager().stats().failed, 0u);
 }
 
+TEST(ResilienceTest, RejoinedMemberDropsRoutesWithdrawnWhileItWasDown) {
+  ResilienceFixture f;
+  bgp::ReconnectPolicy policy;
+  policy.initial_backoff_s = 1.0;
+  policy.jitter_frac = 0.0;
+  f.honoring->connect_resilient(
+      [&f] { return f.ixp->route_server().accept_member(65002); }, policy);
+  f.settle();
+  mitigation::TriggerRtbh(*f.victim, P4("100.10.10.10/32"));
+  f.settle();
+  ASSERT_TRUE(f.honoring->blackholes(net::IPv4Address(100, 10, 10, 10)));
+
+  // The honoring member's session dies, and the victim withdraws the /32
+  // before it re-joins: nothing will ever withdraw it on the new session.
+  f.honoring->session()->stop();
+  f.victim->withdraw(P4("100.10.10.10/32"));
+  f.settle();
+  ASSERT_EQ(f.honoring->reconnector()->stats().reconnects, 1u);
+  EXPECT_TRUE(f.honoring->rib().routes_for(P4("100.10.10.10/32")).empty());
+  EXPECT_FALSE(f.honoring->blackholes(net::IPv4Address(100, 10, 10, 10)));
+  // The re-joined session's refresh brings back every current route.
+  EXPECT_FALSE(f.honoring->rib().routes_for(P4("100.10.10.0/24")).empty());
+}
+
 }  // namespace
 }  // namespace stellar

@@ -240,5 +240,24 @@ TEST(Ipv6Test, Bogon6ListStandard) {
   EXPECT_FALSE(bogons.is_bogon(P6("100::/64")));
 }
 
+TEST(Ipv6Test, RejectedReannouncementWithdrawsEarlierRoute) {
+  V6Fixture f;
+  f.v6_member->announce6(P6("2001:678:a::1/128"), {bgp::kBlackhole});
+  f.settle();
+  ASSERT_TRUE(f.honoring->blackholes6(A6("2001:678:a::1")));
+  const auto too_specific = f.ixp->route_server().rejects().too_specific;
+
+  // The same /128 without BLACKHOLE is rejected as too specific, and it
+  // replaces the blackhole route all the same.
+  f.v6_member->announce6(P6("2001:678:a::1/128"));
+  f.settle();
+  EXPECT_EQ(f.ixp->route_server().rejects().too_specific, too_specific + 1);
+  EXPECT_TRUE(
+      f.ixp->route_server().adj_rib_in6().routes_for(P6("2001:678:a::1/128")).empty());
+  EXPECT_TRUE(f.honoring->rib6().routes_for(P6("2001:678:a::1/128")).empty());
+  EXPECT_FALSE(f.honoring->blackholes6(A6("2001:678:a::1")));
+  EXPECT_TRUE(f.ixp->route_server().blackhole_events6().back().withdrawn);
+}
+
 }  // namespace
 }  // namespace stellar::ixp

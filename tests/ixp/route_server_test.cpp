@@ -253,5 +253,24 @@ TEST(RouteServerTest, OriginMismatchRejected) {
   EXPECT_GE(f.rs().rejects().origin_mismatch, 1u);
 }
 
+TEST(RouteServerTest, RejectedReannouncementWithdrawsEarlierRoute) {
+  RsFixture f;
+  f.m1->announce(P4("100.10.10.1/32"), {bgp::kBlackhole});
+  f.settle();
+  ASSERT_TRUE(f.m2->blackholes(net::IPv4Address(100, 10, 10, 1)));
+  const auto too_specific = f.rs().rejects().too_specific;
+
+  // The same /32 without BLACKHOLE is rejected as too specific, and it
+  // replaces the blackhole route all the same.
+  f.m1->announce(P4("100.10.10.1/32"));
+  f.settle();
+  EXPECT_EQ(f.rs().rejects().too_specific, too_specific + 1);
+  EXPECT_TRUE(f.rs().adj_rib_in().routes_for(P4("100.10.10.1/32")).empty());
+  EXPECT_TRUE(f.m2->rib().routes_for(P4("100.10.10.1/32")).empty());
+  EXPECT_FALSE(f.m2->blackholes(net::IPv4Address(100, 10, 10, 1)));
+  ASSERT_FALSE(f.rs().blackhole_events().empty());
+  EXPECT_TRUE(f.rs().blackhole_events().back().withdrawn);
+}
+
 }  // namespace
 }  // namespace stellar::ixp

@@ -48,3 +48,9 @@ done
 # fig10c_stellar_attack drives the egress QoS path.
 "$BUILD_DIR"/bench/fig3c_rtbh_attack
 "$BUILD_DIR"/bench/fig10c_stellar_attack
+
+# Route-server Adj-RIB-Out smoke test: fig3b drives announce-to-none and
+# include-peer scopes through the per-prefix export loop. A record's slot
+# vector is sized when first written and members_ grows after that, so ASan
+# catches a slot index read past the end of a record.
+"$BUILD_DIR"/bench/fig3b_policy_usage
