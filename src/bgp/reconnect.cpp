@@ -19,7 +19,22 @@ ReconnectingSession::ReconnectingSession(sim::EventQueue& queue, TransportFactor
       policy_(policy),
       damping_(policy),
       jitter_rng_(policy.seed),
-      next_backoff_s_(policy.initial_backoff_s) {}
+      next_backoff_s_(policy.initial_backoff_s),
+      dial_timer_(queue, [this] {
+        if (stopped_ || !session_ || session_->established() ||
+            session_->state() == SessionState::kClosed) {
+          return;
+        }
+        // Handshake stalled (e.g. the OPEN was lost): tear it down; the close
+        // flows through on_state() and schedules the next attempt.
+        ++stats_.dial_timeouts;
+        obs::journal().append(queue_.now().count(), obs::EventKind::kDialTimeout,
+                              SessionSubject(session_config_));
+        session_->stop();
+      }),
+      redial_timer_(queue, [this] {
+        if (!stopped_) dial();
+      }) {}
 
 void ReconnectingSession::start() {
   if (started_) return;
@@ -57,22 +72,7 @@ void ReconnectingSession::dial() {
   session_ = std::make_unique<Session>(queue_, std::move(transport), session_config_);
   attach_handlers();
   session_->start();
-  if (policy_.dial_timeout_s > 0.0) {
-    const std::uint64_t gen = ++dial_generation_;
-    queue_.schedule_after(sim::Seconds(policy_.dial_timeout_s), [this, alive = alive_, gen] {
-      if (!*alive || gen != dial_generation_ || stopped_) return;
-      if (!session_ || session_->established() ||
-          session_->state() == SessionState::kClosed) {
-        return;
-      }
-      // Handshake stalled (e.g. the OPEN was lost): tear it down; the close
-      // flows through on_state() and schedules the next attempt.
-      ++stats_.dial_timeouts;
-      obs::journal().append(queue_.now().count(), obs::EventKind::kDialTimeout,
-                            SessionSubject(session_config_));
-      session_->stop();
-    });
-  }
+  if (policy_.dial_timeout_s > 0.0) dial_timer_.arm_after(sim::Seconds(policy_.dial_timeout_s));
 }
 
 void ReconnectingSession::attach_handlers() {
@@ -110,7 +110,7 @@ void ReconnectingSession::on_state(SessionState state) {
 }
 
 void ReconnectingSession::schedule_redial() {
-  if (redial_pending_ || stopped_) return;
+  if (redial_timer_.armed() || stopped_) return;
   // The retry budget counts redials only — the initial dial is free, so a
   // never-established session gets max_retries + 1 total attempts and a
   // max_retries of 0 means strictly one-shot.
@@ -137,13 +137,7 @@ void ReconnectingSession::schedule_redial() {
                           "hold_s=" + std::to_string(damping_.reuse_delay(now)));
   }
   stats_.last_backoff_s = delay;
-  redial_pending_ = true;
-  queue_.schedule_after(sim::Seconds(delay), [this, alive = alive_] {
-    if (!*alive) return;
-    redial_pending_ = false;
-    if (stopped_) return;
-    dial();
-  });
+  redial_timer_.arm_after(sim::Seconds(delay));
 }
 
 }  // namespace stellar::bgp

@@ -111,7 +111,6 @@ class ReconnectingSession {
 
   ReconnectingSession(sim::EventQueue& queue, TransportFactory factory,
                       SessionConfig session_config, ReconnectPolicy policy);
-  ~ReconnectingSession() { *alive_ = false; }
   ReconnectingSession(const ReconnectingSession&) = delete;
   ReconnectingSession& operator=(const ReconnectingSession&) = delete;
 
@@ -166,13 +165,11 @@ class ReconnectingSession {
 
   bool started_ = false;
   bool stopped_ = false;        ///< Intentional stop: no recovery.
-  bool redial_pending_ = false;
   bool was_established_ = false;  ///< Current session reached Established.
-  std::uint64_t dial_generation_ = 0;  ///< Invalidates stale dial timeouts.
   int attempts_since_established_ = 0;
   double next_backoff_s_ = 0.0;
-  /// Invalidates scheduled dials from destroyed instances.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  sim::Timer dial_timer_;    ///< Tears down a dial stuck before Established.
+  sim::Timer redial_timer_;  ///< The pending re-dial after a flap.
   Stats stats_;
 };
 

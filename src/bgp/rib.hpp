@@ -3,9 +3,10 @@
 // A route is identified by (prefix, peer, path_id): the route server keeps an
 // Adj-RIB-In per peer, while the blackholing controller keeps a single Rib
 // over its ADD-PATH iBGP session where multiple paths for the same prefix
-// coexist. Snapshot diffing is the controller's engine: each diff between two
-// RIB states is exactly the set of abstract configuration changes the network
-// manager must realize (paper §4.4).
+// coexist. DiffSnapshots() computes the route-level diff between two RIB
+// states (paper §4.4's snapshot diff); the controller does not call it, but
+// recomputes its desired rule set from the RIB instead (process_full() and
+// the per-epoch process_incremental()).
 //
 // The containers are generic over the prefix type: Rib/Route operate on IPv4
 // (the paper's dominant case, >98% of blackholed prefixes), Rib6/Route6 on

@@ -90,7 +90,6 @@ Session::Session(sim::EventQueue& queue, std::shared_ptr<Endpoint> transport,
 }
 
 Session::~Session() {
-  *alive_ = false;
   // Detach transport callbacks: the endpoint may outlive us inside queued
   // link-latency events.
   transport_->set_receive_handler(nullptr);
@@ -266,31 +265,20 @@ void Session::set_state(SessionState s) {
   if (state_ == s) return;
   state_ = s;
   if (s == SessionState::kClosed) {
-    ++hold_generation_;
-    ++keepalive_generation_;
+    hold_timer_.cancel();
+    keepalive_timer_.cancel();
   }
   if (on_state_) on_state_(s);
 }
 
 void Session::arm_hold_timer() {
-  if (hold_time_s_ == 0 && state_ != SessionState::kEstablished) return;
   if (hold_time_s_ == 0) return;
-  const std::uint64_t gen = ++hold_generation_;
-  queue_.schedule_after(sim::Seconds(hold_time_s_), [this, gen, alive = alive_] {
-    if (!*alive || gen != hold_generation_ || state_ != SessionState::kEstablished) return;
-    fail(NotificationCode::kHoldTimerExpired, 0, "hold timer expired");
-  });
+  hold_timer_.arm_after(sim::Seconds(hold_time_s_));
 }
 
 void Session::arm_keepalive_timer() {
   if (hold_time_s_ == 0) return;
-  const std::uint64_t gen = ++keepalive_generation_;
-  const double interval = hold_time_s_ / 3.0;
-  queue_.schedule_after(sim::Seconds(interval), [this, gen, alive = alive_] {
-    if (!*alive || gen != keepalive_generation_ || state_ != SessionState::kEstablished) return;
-    send(KeepaliveMessage{}, tx_codec_);
-    arm_keepalive_timer();
-  });
+  keepalive_timer_.arm_after(sim::Seconds(hold_time_s_ / 3.0));
 }
 
 }  // namespace stellar::bgp

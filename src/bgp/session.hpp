@@ -191,10 +191,15 @@ class Session {
   StateHandler on_state_;
   RefreshHandler on_refresh_;
 
-  // Timer generation counters: bumping invalidates armed timers.
-  std::uint64_t hold_generation_ = 0;
-  std::uint64_t keepalive_generation_ = 0;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  sim::Timer hold_timer_{queue_, [this] {
+    if (state_ != SessionState::kEstablished) return;
+    fail(NotificationCode::kHoldTimerExpired, 0, "hold timer expired");
+  }};
+  sim::Timer keepalive_timer_{queue_, [this] {
+    if (state_ != SessionState::kEstablished) return;
+    send(KeepaliveMessage{}, tx_codec_);
+    arm_keepalive_timer();
+  }};
 
   std::uint64_t updates_sent_ = 0;
   std::uint64_t updates_received_ = 0;

@@ -74,8 +74,7 @@ void BlackholingController::init_session(TransportFactory factory,
                           });
   });
   reconnector_->start();
-  processor_ = std::make_unique<sim::PeriodicTask>(
-      queue_, sim::Seconds(config_.process_interval_s), [this] { process(); });
+  processor_.arm_after(sim::Seconds(config_.process_interval_s));
 }
 
 BlackholingController::ReconcileReport BlackholingController::reconcile() {

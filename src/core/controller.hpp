@@ -193,7 +193,11 @@ class BlackholingController {
   PortDirectory directory_;
   const RulePortal* portal_;
   std::unique_ptr<bgp::ReconnectingSession> reconnector_;
-  std::unique_ptr<sim::PeriodicTask> processor_;
+  /// Runs process() every process_interval_s; re-armed after each round.
+  sim::Timer processor_{queue_, [this] {
+    process();
+    processor_.arm_after(sim::Seconds(config_.process_interval_s));
+  }};
   bgp::Rib rib_;
   /// Signal routes already counted in stats (process() re-derives every
   /// round; stats must count each signaled route once).

@@ -1,46 +1,62 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
 namespace stellar::sim {
 
 void EventQueue::schedule_at(SimTime at, Callback cb) {
-  if (at < now_) at = now_;
-  heap_.push(Event{at, next_seq_++, std::move(cb)});
+  post(std::max(at, now_), next_seq_++, std::move(cb));
+}
+
+void EventQueue::post(SimTime at, std::uint64_t seq, Callback cb) {
+  heap_.push_back(Event{at, seq, std::move(cb)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void EventQueue::dispatch_next() {
+  // Move out before running: the callback may schedule new events.
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
+  now_ = ev.at;
+  ev.cb();
 }
 
 void EventQueue::run_until(SimTime until) {
-  while (!heap_.empty() && heap_.top().at <= until) {
-    // Copy out before pop: the callback may schedule new events.
-    Event ev = heap_.top();
-    heap_.pop();
-    now_ = ev.at;
-    ev.cb();
-  }
+  while (!heap_.empty() && heap_.front().at <= until) dispatch_next();
   if (now_ < until) now_ = until;
 }
 
 void EventQueue::run() {
-  while (!heap_.empty()) {
-    Event ev = heap_.top();
-    heap_.pop();
-    now_ = ev.at;
-    ev.cb();
-  }
+  while (!heap_.empty()) dispatch_next();
 }
 
-PeriodicTask::PeriodicTask(EventQueue& queue, Duration period, EventQueue::Callback cb)
-    : queue_(queue), period_(period), cb_(std::move(cb)) {
-  arm();
+void Timer::arm_after(Duration delay) {
+  State& s = *state_;
+  s.deadline = std::max(s.queue.now_ + delay, s.queue.now_);
+  s.seq = s.queue.next_seq_++;
+  s.armed = true;
+  if (s.posted_at > s.deadline) post(state_);
 }
 
-void PeriodicTask::arm() {
-  queue_.schedule_after(period_, [this, alive = alive_] {
-    if (!*alive) return;
-    cb_();
-    arm();
-  });
+void Timer::post(const std::shared_ptr<State>& state) {
+  state->posted_at = state->deadline;
+  state->posted_seq = state->seq;
+  state->queue.post(state->deadline, state->seq, [state, seq = state->seq] { fire(state, seq); });
+}
+
+void Timer::fire(const std::shared_ptr<State>& state, std::uint64_t seq) {
+  State& s = *state;
+  if (seq != s.posted_seq) return;  // Left behind by an earlier deadline.
+  s.posted_at = SimTime::max();
+  if (!s.armed) return;
+  // Re-armed since this was posted: the live key is still ahead of this
+  // event (same or later time, larger seq), so move there.
+  if (seq != s.seq) return post(state);
+  s.armed = false;
+  s.cb();
 }
 
 }  // namespace stellar::sim

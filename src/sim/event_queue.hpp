@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
+#include <utility>
 #include <vector>
 
 namespace stellar::sim {
@@ -48,6 +48,8 @@ class EventQueue {
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
  private:
+  friend class Timer;
+
   struct Event {
     SimTime at;
     std::uint64_t seq;  ///< Tie-breaker for deterministic FIFO ordering.
@@ -60,29 +62,51 @@ class EventQueue {
     }
   };
 
+  /// Queues `cb` under an already-taken (at, seq) key.
+  void post(SimTime at, std::uint64_t seq, Callback cb);
+  /// Pops the earliest event, moves the clock to it and runs it.
+  void dispatch_next();
+
   SimTime now_{0.0};
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::vector<Event> heap_;  ///< Binary min-heap under Later.
 };
 
-/// Repeats a callback at a fixed period until cancel() or the owner's queue
-/// stops being run. The callback sees the queue's virtual clock.
-class PeriodicTask {
+/// A re-armable one-shot deadline: the callback runs once, at the last
+/// deadline arm_after() set, unless cancel() comes first. A re-arm queues
+/// nothing while the timer's event is due at or before the new deadline; that
+/// event, when it comes up early, re-posts itself. Each arm takes one sequence
+/// number, as schedule_after() does, and the callback runs at exactly that
+/// (deadline, seq) key, so no other event moves. The state is shared with the
+/// queued event: the owner may die (the destructor cancels) before it runs.
+class Timer {
  public:
-  PeriodicTask(EventQueue& queue, Duration period, EventQueue::Callback cb);
-  ~PeriodicTask() { cancel(); }
-  PeriodicTask(const PeriodicTask&) = delete;
-  PeriodicTask& operator=(const PeriodicTask&) = delete;
+  Timer(EventQueue& queue, EventQueue::Callback cb)
+      : state_(std::make_shared<State>(State{queue, std::move(cb)})) {}
+  ~Timer() { cancel(); }
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
 
-  void cancel() { *alive_ = false; }
+  /// Sets the deadline to now() + `delay` (clamped to now()).
+  void arm_after(Duration delay);
+  void cancel() { state_->armed = false; }
+  /// True from arm_after() until the callback starts or cancel().
+  [[nodiscard]] bool armed() const { return state_->armed; }
 
  private:
-  void arm();
+  struct State {
+    EventQueue& queue;
+    EventQueue::Callback cb;
+    bool armed = false;
+    SimTime deadline{0.0};  ///< The live arm's key: the callback runs at
+    std::uint64_t seq = 0;  ///< exactly (deadline, seq).
+    SimTime posted_at = SimTime::max();  ///< The queued event standing for the
+    std::uint64_t posted_seq = 0;        ///< timer (max: none); others are no-ops.
+  };
+  static void post(const std::shared_ptr<State>& state);
+  static void fire(const std::shared_ptr<State>& state, std::uint64_t seq);
 
-  EventQueue& queue_;
-  Duration period_;
-  EventQueue::Callback cb_;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  std::shared_ptr<State> state_;
 };
 
 }  // namespace stellar::sim

@@ -387,5 +387,24 @@ TEST(SessionTimerTest, UpdatesResetHoldTimerToo) {
   EXPECT_EQ(peer.session->state(), SessionState::kClosed);
 }
 
+TEST(SessionTimerTest, MessageTrafficKeepsOneEventPerTimer) {
+  // Every UPDATE sent restarts the sender's keepalive timer and every one
+  // received restarts the receiver's hold timer. A restart moves the
+  // deadline of the timer's one queued event; it must not queue another.
+  SessionPair pair(Cfg(65001, 1), Cfg(65002, 2));  // Hold time 90.
+  pair.establish();
+  ASSERT_TRUE(pair.a->established());
+  UpdateMessage u;
+  u.attrs.origin = Origin::kIgp;
+  u.attrs.as_path = {{AsPathSegment::Type::kSequence, {65001}}};
+  u.attrs.next_hop = net::IPv4Address(10, 0, 0, 1);
+  u.announced = {{0, P4("60.1.0.0/20")}};
+  for (int i = 0; i < 1000; ++i) pair.a->announce(u);
+  pair.queue.run_until(pair.queue.now() + sim::Millis(10.0));
+  EXPECT_EQ(pair.b->updates_received(), 1000u);
+  EXPECT_TRUE(pair.b->established());
+  EXPECT_LE(pair.queue.pending(), 4u);  // Hold and keepalive, per side.
+}
+
 }  // namespace
 }  // namespace stellar::bgp

@@ -267,7 +267,7 @@ TEST(ControllerTest, PeriodicProcessingRunsWithoutExplicitCalls) {
   u.attrs.extended_communities = EncodeSignal(kIxp, NtpDrop()).value();
   u.announced = {{1, P4("100.10.10.10/32")}};
   f.server->announce(u);
-  // Only advance the clock: the PeriodicTask must pick the change up.
+  // Only advance the clock: the periodic process() timer must pick the change up.
   f.queue.run_until(f.queue.now() + sim::Seconds(5.0));
   EXPECT_EQ(f.changes.size(), 1u);
 }

@@ -71,34 +71,76 @@ TEST(EventQueueTest, ScheduleAfterUsesCurrentTime) {
   EXPECT_DOUBLE_EQ(fired_at, 12.5);
 }
 
-TEST(PeriodicTaskTest, FiresAtPeriod) {
+TEST(TimerTest, FiresAtDeadline) {
+  EventQueue q;
+  std::vector<double> fired;
+  Timer timer(q, [&] { fired.push_back(q.now().count()); });
+  timer.arm_after(Seconds(1.0));
+  EXPECT_TRUE(timer.armed());
+  q.run_until(Seconds(0.999));
+  EXPECT_TRUE(fired.empty());
+  q.run_until(Seconds(5.5));
+  EXPECT_EQ(fired, (std::vector<double>{1.0}));
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(TimerTest, RearmingFromTheCallbackRepeats) {
   EventQueue q;
   int count = 0;
-  PeriodicTask task(q, Seconds(1.0), [&] { ++count; });
+  Timer timer(q, [&] {
+    ++count;
+    timer.arm_after(Seconds(1.0));
+  });
+  timer.arm_after(Seconds(1.0));
   q.run_until(Seconds(5.5));
   EXPECT_EQ(count, 5);
+  EXPECT_EQ(q.pending(), 1u);
 }
 
-TEST(PeriodicTaskTest, CancelStopsFiring) {
+TEST(TimerTest, RearmMovesTheDeadlineWithoutQueueingMore) {
+  EventQueue q;
+  std::vector<double> fired;
+  Timer timer(q, [&] { fired.push_back(q.now().count()); });
+  for (int i = 0; i < 100; ++i) {
+    timer.arm_after(Seconds(2.0));
+    q.run_until(q.now() + Seconds(0.5));
+  }
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_TRUE(fired.empty());
+  q.run_until(Seconds(100.0));
+  EXPECT_EQ(fired, (std::vector<double>{51.5}));
+  // An earlier deadline fires at once, even with a later event queued.
+  timer.arm_after(Seconds(5.0));
+  timer.arm_after(Seconds(1.0));
+  q.run_until(Seconds(110.0));
+  EXPECT_EQ(fired, (std::vector<double>{51.5, 101.0}));
+}
+
+TEST(TimerTest, CancelStopsFiring) {
   EventQueue q;
   int count = 0;
-  auto task = std::make_unique<PeriodicTask>(q, Seconds(1.0), [&] { ++count; });
-  q.run_until(Seconds(2.5));
-  EXPECT_EQ(count, 2);
-  task->cancel();
+  Timer timer(q, [&] { ++count; });
+  timer.arm_after(Seconds(1.0));
+  q.run_until(Seconds(0.5));
+  timer.cancel();
+  EXPECT_FALSE(timer.armed());
   q.run_until(Seconds(10.0));
-  EXPECT_EQ(count, 2);
+  EXPECT_EQ(count, 0);
+  timer.arm_after(Seconds(1.0));
+  q.run_until(Seconds(20.0));
+  EXPECT_EQ(count, 1);
 }
 
-TEST(PeriodicTaskTest, DestructorCancels) {
+TEST(TimerTest, DestructorCancels) {
   EventQueue q;
   int count = 0;
   {
-    PeriodicTask task(q, Seconds(1.0), [&] { ++count; });
-    q.run_until(Seconds(1.5));
+    Timer timer(q, [&] { ++count; });
+    timer.arm_after(Seconds(1.0));
+    q.run_until(Seconds(0.5));
   }
   q.run_until(Seconds(10.0));
-  EXPECT_EQ(count, 1);
+  EXPECT_EQ(count, 0);
 }
 
 }  // namespace

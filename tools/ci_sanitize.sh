@@ -54,3 +54,8 @@ done
 # vector is sized when first written and members_ grows after that, so ASan
 # catches a slot index read past the end of a record.
 "$BUILD_DIR"/bench/fig3b_policy_usage
+
+# Event-queue smoke test: fig10b drains EventQueue::run() to empty through the
+# heap's move-out dispatch and the manager's drain events, so ASan catches a
+# moved-from callback being run or a heap element read after pop_back.
+"$BUILD_DIR"/bench/fig10b_queue
