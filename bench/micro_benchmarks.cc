@@ -197,7 +197,10 @@ void BM_TcamAllocateRelease(benchmark::State& state) {
   match.src_port = filter::PortRange::Single(123);
   for (auto _ : state) {
     benchmark::DoNotOptimize(tcam.allocate(1, match));
-    tcam.release(1, match);
+    if (!tcam.release(1, match)) {
+      state.SkipWithError("Tcam::release failed");
+      break;
+    }
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -308,7 +311,7 @@ void BM_FaultyLinkOverhead(benchmark::State& state) {
   }
   auto [ea, eb] = bgp::MakeLink(queue);
   std::uint64_t received = 0;
-  eb->set_receive_handler([&](std::span<const std::uint8_t>) { ++received; });
+  eb->set_receive_handler([&](const bgp::Frame&) { ++received; });
   const std::vector<std::uint8_t> payload(64, 0xAB);
   for (auto _ : state) {
     ea->send(payload);

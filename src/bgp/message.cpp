@@ -4,10 +4,23 @@
 #include <stdexcept>
 
 #include "bgp/wire.hpp"
+#include "obs/metrics.hpp"
 
 namespace stellar::bgp {
 
 namespace {
+
+obs::Counter& UpdatesEncoded() {
+  static obs::Counter counter = obs::registry().counter(
+      "bgp.codec.updates_encoded", "UPDATE messages encoded (one per update group and codec)");
+  return counter;
+}
+
+obs::Counter& UpdatesDecoded() {
+  static obs::Counter counter = obs::registry().counter(
+      "bgp.codec.updates_decoded", "UPDATE messages decoded (one per frame and codec)");
+  return counter;
+}
 
 // Path attribute type codes (IANA).
 constexpr std::uint8_t kAttrOrigin = 1;
@@ -562,6 +575,7 @@ std::vector<std::uint8_t> Encode(const Message& msg, const CodecOptions& opts) {
           w.u16(static_cast<std::uint16_t>(attrs.size()));
           w.bytes(attrs.data());
           for (const auto& n : m.announced) WriteNlri4(w, n, opts);
+          UpdatesEncoded().inc();
         } else if constexpr (std::is_same_v<T, NotificationMessage>) {
           w.u8(static_cast<std::uint8_t>(m.code));
           w.u8(m.subcode);
@@ -683,6 +697,7 @@ util::Result<FramedMessage> DecodeFramed(std::span<const std::uint8_t> data,
         if (!n.ok()) return n.error();
         m.announced.push_back(*n);
       }
+      UpdatesDecoded().inc();
       out.message = std::move(m);
       break;
     }

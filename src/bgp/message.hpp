@@ -210,11 +210,17 @@ using Message = std::variant<OpenMessage, UpdateMessage, NotificationMessage, Ke
 struct CodecOptions {
   bool add_path_ipv4_unicast = false;  ///< 4-byte path ids precede IPv4 NLRI.
   bool four_octet_as = true;           ///< AS_PATH carries 4-byte ASNs.
+
+  friend bool operator==(const CodecOptions&, const CodecOptions&) = default;
 };
 
 /// Serializes one message including the 19-byte header. Never fails: the
 /// message model cannot represent invalid messages, and oversized updates are
 /// a caller bug (checked: throws std::length_error past 4096 bytes).
+/// Each UPDATE encoded counts once in the obs counter
+/// bgp.codec.updates_encoded, and each UPDATE DecodeFramed decodes counts
+/// once in bgp.codec.updates_decoded: exact work counts, the same per seed
+/// on any host.
 [[nodiscard]] std::vector<std::uint8_t> Encode(const Message& msg,
                                                const CodecOptions& opts = {});
 

@@ -5,29 +5,76 @@
 
 namespace stellar::bgp {
 
+namespace {
+
+/// KEEPALIVE is the bare header under every codec: one frame per process.
+/// Only UPDATE frames memoise a decode, so this one is never written.
+const FramePtr& KeepaliveFrame() {
+  static const FramePtr frame = std::make_shared<const Frame>(Encode(KeepaliveMessage{}));
+  return frame;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Frame / SharedUpdate.
+
+const UpdateMessage* Frame::update(const CodecOptions& codec) const {
+  if (bytes_.size() < kHeaderSize ||
+      bytes_[kHeaderSize - 1] != static_cast<std::uint8_t>(MessageType::kUpdate)) {
+    return nullptr;
+  }
+  for (const Decoded& d : decoded_) {
+    if (d.codec == codec) return d.update ? &*d.update : nullptr;
+  }
+  Decoded& d = decoded_.emplace_front(Decoded{codec, std::nullopt});
+  auto framed = DecodeFramed(bytes_, codec);
+  if (framed.ok() && framed->message && framed->consumed == bytes_.size()) {
+    if (auto* update = std::get_if<UpdateMessage>(&*framed->message)) d.update = std::move(*update);
+  }
+  return d.update ? &*d.update : nullptr;
+}
+
+const FramePtr& SharedUpdate::frame(const CodecOptions& codec) {
+  for (const auto& [c, frame] : frames_) {
+    if (c == codec) return frame;
+  }
+  return frames_.emplace_back(codec, std::make_shared<const Frame>(Encode(update_, codec))).second;
+}
+
 // ---------------------------------------------------------------------------
 // Endpoint / Link.
 
-void Endpoint::send(std::vector<std::uint8_t> bytes) {
+void Endpoint::send(FramePtr frame) {
   auto peer = peer_.lock();
   if (closed_ || !peer || peer->closed_) {
     sends_after_close_.inc();
-    dropped_bytes_.inc(bytes.size());
+    dropped_bytes_.inc(frame->bytes().size());
     return;
   }
   sim::Duration delay = latency_;
-  if (fault_filter_ && !fault_filter_(bytes, delay)) {
-    dropped_bytes_.inc(bytes.size());  // Injected drop.
-    return;
-  }
-  queue_->schedule_after(delay, [self = self_, peer, data = std::move(bytes)] {
-    if (peer->closed_ || !peer->on_receive_) {
-      // Closed while the bytes were in flight: account them as lost.
-      if (auto s = self.lock()) s->dropped_bytes_.inc(data.size());
+  if (fault_filter_) {
+    // The filter may corrupt what it is given: a private copy, so a frame
+    // other peers share never changes.
+    std::vector<std::uint8_t> bytes(frame->bytes().begin(), frame->bytes().end());
+    if (!fault_filter_(bytes, delay)) {
+      dropped_bytes_.inc(bytes.size());  // Injected drop.
       return;
     }
-    peer->on_receive_(data);
+    frame = std::make_shared<const Frame>(std::move(bytes));
+  }
+  queue_->schedule_after(delay, [self = self_, peer, frame = std::move(frame)] {
+    if (peer->closed_ || !peer->on_receive_) {
+      // Closed while the bytes were in flight: account them as lost.
+      if (auto s = self.lock()) s->dropped_bytes_.inc(frame->bytes().size());
+      return;
+    }
+    peer->on_receive_(*frame);
   });
+}
+
+void Endpoint::send(std::vector<std::uint8_t> bytes) {
+  send(std::make_shared<const Frame>(std::move(bytes)));
 }
 
 void Endpoint::close() {
@@ -85,7 +132,7 @@ std::string_view ToString(SessionState s) {
 Session::Session(sim::EventQueue& queue, std::shared_ptr<Endpoint> transport,
                  SessionConfig config)
     : queue_(queue), transport_(std::move(transport)), config_(config) {
-  transport_->set_receive_handler([this](std::span<const std::uint8_t> b) { on_bytes(b); });
+  transport_->set_receive_handler([this](const Frame& frame) { on_frame(frame); });
   transport_->set_close_handler([this] { on_transport_closed(); });
 }
 
@@ -118,13 +165,18 @@ void Session::start() {
 }
 
 void Session::announce(UpdateMessage update) {
+  SharedUpdate shared(std::move(update));
+  announce(shared);
+}
+
+void Session::announce(SharedUpdate& update) {
   if (state_ == SessionState::kClosed) return;
   if (state_ != SessionState::kEstablished) {
-    pending_.push_back(std::move(update));
+    pending_.push_back(update.message());
     return;
   }
   ++updates_sent_;
-  send(update, tx_codec_);
+  transport_->send(update.frame(tx_codec_));
   arm_keepalive_timer();  // Any message defers the next keepalive.
 }
 
@@ -143,6 +195,21 @@ void Session::stop(std::uint8_t cease_subcode) {
   send(n, tx_codec_);
   transport_->close();
   set_state(SessionState::kClosed);
+}
+
+void Session::on_frame(const Frame& frame) {
+  // Decode once: a whole UPDATE arriving on a clean stream is decoded by the
+  // frame, once for every session that shares it under the same rx codec.
+  // The steps match on_bytes for that message.
+  if (rx_buffer_.empty() && state_ == SessionState::kEstablished) {
+    if (const UpdateMessage* update = frame.update(rx_codec_)) {
+      arm_hold_timer();
+      ++updates_received_;
+      if (on_update_) on_update_(*update);
+      return;
+    }
+  }
+  on_bytes(frame.bytes());
 }
 
 void Session::on_bytes(std::span<const std::uint8_t> bytes) {
@@ -231,7 +298,7 @@ void Session::handle_open(OpenMessage open) {
   rx_codec_.four_octet_as = open.four_octet_asn().has_value();
   tx_codec_.four_octet_as = rx_codec_.four_octet_as;
 
-  send(KeepaliveMessage{}, tx_codec_);
+  send_keepalive();
   set_state(SessionState::kOpenConfirm);
 }
 
@@ -250,6 +317,8 @@ void Session::enter_established() {
 void Session::send(const Message& msg, const CodecOptions& codec) {
   transport_->send(Encode(msg, codec));
 }
+
+void Session::send_keepalive() { transport_->send(KeepaliveFrame()); }
 
 void Session::fail(NotificationCode code, std::uint8_t subcode, const std::string& why) {
   (void)why;  // Kept for debuggability via a breakpoint; not logged by default.

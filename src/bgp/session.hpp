@@ -8,14 +8,34 @@
 // across the IXP peering LAN. Sessions never see each other directly; they
 // only exchange encoded bytes, so everything above the transport exercises
 // the real codec.
+//
+// Fan-out once. Links carry immutable, shared frames (bgp::Frame), so one
+// encoded message can travel to many peers without a copy:
+//   - Encode once per group. A route server hands every session of an
+//     update group one SharedUpdate; each Established session sends the
+//     frame encoded once per tx codec.
+//   - Decode once per frame. A session whose rx buffer is empty and that
+//     receives exactly one complete UPDATE while Established takes the
+//     decoded message from the frame, which decodes once per rx codec and
+//     keeps the result with itself. Partial, coalesced or corrupt input and
+//     anything outside Established take the stream-reassembly path
+//     unchanged.
+//   - Private copies under fault filters. A link with a fault filter copies
+//     the frame before the filter may touch it, so a corrupting link never
+//     changes the bytes another peer receives.
+//   - KEEPALIVE is the same 19 bytes under every codec: one frame per
+//     process.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <forward_list>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bgp/message.hpp"
@@ -24,19 +44,66 @@
 
 namespace stellar::bgp {
 
+/// One encoded BGP message (or any byte string a test sends) as it crosses a
+/// link: immutable, so any number of peers may receive the same frame.
+class Frame {
+ public:
+  explicit Frame(std::vector<std::uint8_t> bytes) : bytes_(std::move(bytes)) {}
+  Frame(const Frame&) = delete;
+  Frame& operator=(const Frame&) = delete;
+
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const { return bytes_; }
+
+  /// The UPDATE these bytes hold under `codec`, or null unless they hold
+  /// exactly one complete, well-formed UPDATE. Decoded on the first call per
+  /// codec; later calls return the same object, which lives as long as the
+  /// frame.
+  [[nodiscard]] const UpdateMessage* update(const CodecOptions& codec) const;
+
+ private:
+  struct Decoded {
+    CodecOptions codec;
+    std::optional<UpdateMessage> update;
+  };
+
+  std::vector<std::uint8_t> bytes_;
+  /// One entry per codec asked for; a list, so a returned pointer stays
+  /// valid when a later codec adds an entry.
+  mutable std::forward_list<Decoded> decoded_;
+};
+
+using FramePtr = std::shared_ptr<const Frame>;
+
+/// One UPDATE sent to many sessions (a route server's update group). Encoded
+/// on first use per tx codec, so every session that sends it under the same
+/// codec hands its link the same frame.
+class SharedUpdate {
+ public:
+  explicit SharedUpdate(UpdateMessage update) : update_(std::move(update)) {}
+
+  [[nodiscard]] const UpdateMessage& message() const { return update_; }
+  [[nodiscard]] const FramePtr& frame(const CodecOptions& codec);
+
+ private:
+  UpdateMessage update_;
+  std::vector<std::pair<CodecOptions, FramePtr>> frames_;
+};
+
 /// One side of an in-memory duplex byte pipe.
 class Endpoint {
  public:
-  using ReceiveHandler = std::function<void(std::span<const std::uint8_t>)>;
+  using ReceiveHandler = std::function<void(const Frame&)>;
   using CloseHandler = std::function<void()>;
   /// Per-message fault hook (see sim/fault.hpp): may mutate the bytes
   /// (corruption) or add extra one-way delay; returning false drops the
-  /// message entirely. Called once per send() on an open link.
+  /// message entirely. Called once per send() on an open link, on a private
+  /// copy of the frame's bytes.
   using FaultFilter = std::function<bool(std::vector<std::uint8_t>& bytes,
                                          sim::Duration& extra_delay)>;
 
-  /// Sends bytes to the peer endpoint; they arrive after the link latency.
+  /// Sends a frame to the peer endpoint; it arrives after the link latency.
   /// On a closed link (either side) this is a counted no-op.
+  void send(FramePtr frame);
   void send(std::vector<std::uint8_t> bytes);
   /// Closes both directions; the peer's close handler fires after latency.
   void close();
@@ -128,6 +195,9 @@ class Session {
   /// Queues an UPDATE. Sent immediately when Established, otherwise buffered
   /// and flushed on establishment (mirrors initial RIB synchronization).
   void announce(UpdateMessage update);
+  /// The same for an UPDATE shared with other sessions: when Established,
+  /// sends the frame every session with this tx codec shares.
+  void announce(SharedUpdate& update);
 
   /// Sends NOTIFICATION(Cease) and closes the transport.
   void stop(std::uint8_t cease_subcode = 0);
@@ -163,12 +233,14 @@ class Session {
   [[nodiscard]] std::uint64_t keepalives_received() const { return keepalives_received_; }
 
  private:
+  void on_frame(const Frame& frame);
   void on_bytes(std::span<const std::uint8_t> bytes);
   void on_transport_closed();
   void handle_message(Message msg);
   void handle_open(OpenMessage open);
   void enter_established();
   void send(const Message& msg, const CodecOptions& codec);
+  void send_keepalive();
   void fail(NotificationCode code, std::uint8_t subcode, const std::string& why);
   void set_state(SessionState s);
   void arm_hold_timer();
@@ -197,7 +269,7 @@ class Session {
   }};
   sim::Timer keepalive_timer_{queue_, [this] {
     if (state_ != SessionState::kEstablished) return;
-    send(KeepaliveMessage{}, tx_codec_);
+    send_keepalive();
     arm_keepalive_timer();
   }};
 

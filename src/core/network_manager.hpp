@@ -114,7 +114,7 @@ class NetworkManager {
     double retry_backoff_multiplier = 2.0;
     double retry_backoff_max_s = 30.0;
     /// nullptr selects DefaultTransientClassifier.
-    TransientClassifier transient_classifier;
+    TransientClassifier transient_classifier = nullptr;
     /// Retained-sample cap for waiting_times_s / failure_codes.
     std::size_t stats_retained_samples = util::RingLog<double>::kDefaultCapacity;
     /// Batched apply (L-IXP scale): each token admits one *port-batch* — all

@@ -80,7 +80,9 @@ std::string_view ToString(FilterAction a) {
 std::string FilterRule::str() const {
   std::string out = std::string(ToString(action));
   if (action == FilterAction::kShape) {
-    out += "@" + std::to_string(static_cast<int>(shape_rate_mbps)) + "Mbps";
+    out += '@';
+    out += std::to_string(static_cast<int>(shape_rate_mbps));
+    out += "Mbps";
   }
   return out + " " + match.str();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "obs/trace.hpp"
 
@@ -301,9 +302,15 @@ void RouteServer::reexport(const PrefixT& prefix, std::size_t first, std::size_t
     record = records.try_emplace(prefix).first;
   }
   auto& slots = record->second;
-  // Export attributes per path index, interned at most once per fan-out. The
-  // extra last entry stays null: "no eligible path".
-  std::vector<std::shared_ptr<const bgp::PathAttributes>> out_attrs(paths.size() + 1);
+  // Update groups, one per path index: the members whose slot changes to
+  // that path's export attributes (interned at most once per fan-out) share
+  // one UPDATE, built and encoded once per tx codec. The extra last group
+  // keeps null attributes: "no eligible path", the withdraw.
+  struct Group {
+    std::shared_ptr<const bgp::PathAttributes> attrs;
+    std::optional<bgp::SharedUpdate> update;
+  };
+  std::vector<Group> groups(paths.size() + 1);
   for (std::size_t i = first; i < last; ++i) {
     const bgp::PeerId target_peer = static_cast<bgp::PeerId>(i + 1);
     // Best eligible path for this member (not its own, scope allows).
@@ -312,16 +319,20 @@ void RouteServer::reexport(const PrefixT& prefix, std::size_t first, std::size_t
       if (paths[p].peer == target_peer || !eligible(paths[p].attrs, members_[i].asn)) continue;
       if (best == paths.size() || bgp::BetterPath(paths[p], paths[best])) best = p;
     }
-    auto& out = out_attrs[best];
-    if (out == nullptr && best < paths.size()) {
-      out = bgp::Intern(member_export_attrs<PrefixT>(paths[best].attrs));
+    Group& group = groups[best];
+    if (group.attrs == nullptr && best < paths.size()) {
+      group.attrs = bgp::Intern(member_export_attrs<PrefixT>(paths[best].attrs));
     }
     if (i >= slots.size()) slots.resize(members_.size());
     // Interned pointers: equal <=> the exported attributes are unchanged.
-    if (slots[i] == out) continue;
-    slots[i] = out;
-    members_[i].session->announce(out != nullptr ? bgp::Afi<PrefixT>::announce(*out, prefix)
-                                                 : bgp::Afi<PrefixT>::withdraw(prefix));
+    if (slots[i] == group.attrs) continue;
+    slots[i] = group.attrs;
+    if (!group.update) {
+      group.update.emplace(group.attrs != nullptr
+                               ? bgp::Afi<PrefixT>::announce(*group.attrs, prefix)
+                               : bgp::Afi<PrefixT>::withdraw(prefix));
+    }
+    members_[i].session->announce(*group.update);
   }
   if (std::all_of(slots.begin(), slots.end(), [](const auto& a) { return a == nullptr; })) {
     records.erase(record);

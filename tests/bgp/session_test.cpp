@@ -227,7 +227,7 @@ TEST(EndpointTest, SendAfterCloseIsNoop) {
   sim::EventQueue queue;
   auto [ea, eb] = MakeLink(queue);
   int received = 0;
-  eb->set_receive_handler([&](std::span<const std::uint8_t>) { ++received; });
+  eb->set_receive_handler([&](const Frame&) { ++received; });
   ea->close();
   queue.run_until(sim::Seconds(1.0));
   ea->send({1, 2, 3});
@@ -260,7 +260,7 @@ TEST(EndpointTest, InFlightBytesDroppedOnPeerCloseAreCounted) {
   sim::EventQueue queue;
   auto [ea, eb] = MakeLink(queue);
   int received = 0;
-  eb->set_receive_handler([&](std::span<const std::uint8_t>) { ++received; });
+  eb->set_receive_handler([&](const Frame&) { ++received; });
   ea->send({1, 2, 3});  // In flight (delivery is scheduled, not immediate)...
   eb->close();          // ...and the peer closes before it lands.
   queue.run_until(sim::Seconds(1.0));

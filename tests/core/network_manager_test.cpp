@@ -21,6 +21,14 @@ ConfigChange Install(const std::string& key) {
   return c;
 }
 
+/// "k<i>", built by appending: GCC 12 at -O3 reports a false -Wrestrict on
+/// the inlined `"k" + std::to_string(i)`.
+std::string Key(int i) {
+  std::string key = "k";
+  key += std::to_string(i);
+  return key;
+}
+
 ConfigChange Remove(const std::string& key) {
   ConfigChange c = Install(key);
   c.op = ConfigChange::Op::kRemove;
@@ -59,7 +67,7 @@ struct NmFixture {
 
 TEST(NetworkManagerTest, AppliesWithinBurstImmediately) {
   NmFixture f({.rate_per_s = 4.0, .max_burst_size = 5.0});
-  for (int i = 0; i < 5; ++i) f.nm->enqueue(Install("k" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) f.nm->enqueue(Install(Key(i)));
   f.queue.run_until(sim::Seconds(0.01));
   EXPECT_EQ(f.nm->stats().applied, 5u);
   for (const auto& [key, at] : f.compiler.applied) EXPECT_LT(at, 0.01);
@@ -67,7 +75,7 @@ TEST(NetworkManagerTest, AppliesWithinBurstImmediately) {
 
 TEST(NetworkManagerTest, RateLimitsBeyondBurst) {
   NmFixture f({.rate_per_s = 4.0, .max_burst_size = 1.0});
-  for (int i = 0; i < 9; ++i) f.nm->enqueue(Install("k" + std::to_string(i)));
+  for (int i = 0; i < 9; ++i) f.nm->enqueue(Install(Key(i)));
   f.queue.run_until(sim::Seconds(10.0));
   EXPECT_EQ(f.nm->stats().applied, 9u);
   // 1 immediate + 8 at 0.25 s spacing => last at 2.0 s.
@@ -82,7 +90,7 @@ TEST(NetworkManagerTest, RateLimitsBeyondBurst) {
 
 TEST(NetworkManagerTest, WaitingTimesRecorded) {
   NmFixture f({.rate_per_s = 1.0, .max_burst_size = 1.0});
-  for (int i = 0; i < 3; ++i) f.nm->enqueue(Install("k" + std::to_string(i)));
+  for (int i = 0; i < 3; ++i) f.nm->enqueue(Install(Key(i)));
   f.queue.run_until(sim::Seconds(10.0));
   const auto& waits = f.nm->stats().waiting_times_s;
   ASSERT_EQ(waits.size(), 3u);
@@ -104,11 +112,11 @@ TEST(NetworkManagerTest, FailuresCountedWithCodes) {
 
 TEST(NetworkManagerTest, QueueDrainsInFifoOrder) {
   NmFixture f({.rate_per_s = 10.0, .max_burst_size = 1.0});
-  for (int i = 0; i < 5; ++i) f.nm->enqueue(Install("k" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) f.nm->enqueue(Install(Key(i)));
   f.queue.run_until(sim::Seconds(5.0));
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(f.compiler.applied[static_cast<std::size_t>(i)].first,
-              "k" + std::to_string(i));
+              Key(i));
   }
 }
 
@@ -118,7 +126,7 @@ TEST(NetworkManagerTest, SustainedLoadAtFractionalRateTerminates) {
   // simulation timestamps.
   NmFixture f({.rate_per_s = 5.0, .max_burst_size = 5.0});
   f.queue.run_until(sim::Seconds(80'000.0));
-  for (int i = 0; i < 2000; ++i) f.nm->enqueue(Install("k" + std::to_string(i)));
+  for (int i = 0; i < 2000; ++i) f.nm->enqueue(Install(Key(i)));
   f.queue.run();
   EXPECT_EQ(f.nm->stats().applied, 2000u);
 }
@@ -316,7 +324,7 @@ TEST(NetworkManagerTest, StatsRingBuffersCapRetainedSamples) {
   NetworkManager::Config config{.rate_per_s = 1000.0, .max_burst_size = 1000.0};
   config.stats_retained_samples = 10;
   NmFixture f(config);
-  for (int i = 0; i < 25; ++i) f.nm->enqueue(Install("k" + std::to_string(i)));
+  for (int i = 0; i < 25; ++i) f.nm->enqueue(Install(Key(i)));
   f.queue.run_until(sim::Seconds(10.0));
   const auto& waits = f.nm->stats().waiting_times_s;
   EXPECT_EQ(waits.size(), 10u);       // Bounded retention...
@@ -330,7 +338,7 @@ TEST(NetworkManagerTest, FailureCodeRingAlsoBounded) {
   config.stats_retained_samples = 4;
   NmFixture f(config);
   f.compiler.fail_all = true;
-  for (int i = 0; i < 9; ++i) f.nm->enqueue(Install("k" + std::to_string(i)));
+  for (int i = 0; i < 9; ++i) f.nm->enqueue(Install(Key(i)));
   f.queue.run_until(sim::Seconds(10.0));
   EXPECT_EQ(f.nm->stats().failure_codes.size(), 4u);
   EXPECT_EQ(f.nm->stats().failure_codes.total(), 9u);

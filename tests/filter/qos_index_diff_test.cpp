@@ -137,7 +137,9 @@ TEST(QosIndexDifferentialTest, RandomizedCorporaMatchLinearScan) {
     // Remove a random ~third of the rules (forces index rebuild + position
     // compaction), then re-insert fresh rules at the tail.
     for (const RuleId id : ids) {
-      if (rng.chance(0.33)) EXPECT_TRUE(policy.remove_rule(id));
+      if (rng.chance(0.33)) {
+        EXPECT_TRUE(policy.remove_rule(id));
+      }
     }
     for (const auto& f : flows) {
       ExpectIdentical(policy, f.key, "after removals");

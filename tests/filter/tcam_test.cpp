@@ -74,7 +74,7 @@ TEST(TcamTest, ReleaseReturnsResources) {
   Tcam tcam({.l3l4_criteria_pool = 3, .mac_filter_pool = 10});
   EXPECT_EQ(tcam.allocate(1, L3L4Rule(3)), TcamFailure::kNone);
   EXPECT_EQ(tcam.allocate(1, L3L4Rule(3)), TcamFailure::kL3L4PoolExhausted);
-  tcam.release(1, L3L4Rule(3));
+  EXPECT_TRUE(tcam.release(1, L3L4Rule(3)));
   EXPECT_EQ(tcam.l3l4_in_use(), 0);
   EXPECT_EQ(tcam.l3l4_in_use(1), 0);
   EXPECT_EQ(tcam.allocate(1, L3L4Rule(3)), TcamFailure::kNone);

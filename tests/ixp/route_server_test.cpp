@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "bgp/session.hpp"
 #include "ixp/ixp.hpp"
+#include "obs/metrics.hpp"
 
 namespace stellar::ixp {
 namespace {
@@ -270,6 +275,64 @@ TEST(RouteServerTest, RejectedReannouncementWithdrawsEarlierRoute) {
   EXPECT_FALSE(f.m2->blackholes(net::IPv4Address(100, 10, 10, 1)));
   ASSERT_FALSE(f.rs().blackhole_events().empty());
   EXPECT_TRUE(f.rs().blackhole_events().back().withdrawn);
+}
+
+/// Codec work of one announcement by the first of `members` members, all
+/// Established. With `filter_last`, the last member's link has a
+/// pass-through fault filter.
+struct CodecWork {
+  std::uint64_t encoded = 0;
+  std::uint64_t decoded = 0;
+  std::size_t receivers = 0;
+};
+CodecWork AnnounceOnce(std::size_t members, bool filter_last) {
+  obs::registry().arm();
+  sim::EventQueue queue;
+  Ixp ixp(queue);
+  std::vector<MemberRouter*> routers;
+  for (std::size_t i = 0; i < members; ++i) {
+    bgp::LinkHook previous;
+    if (filter_last && i + 1 == members) {
+      previous = bgp::SetLinkHook(
+          [](const std::shared_ptr<bgp::Endpoint>& a, const std::shared_ptr<bgp::Endpoint>&) {
+            a->set_fault_filter([](std::vector<std::uint8_t>&, sim::Duration&) { return true; });
+          });
+    }
+    MemberSpec spec;
+    spec.asn = static_cast<bgp::Asn>(65001 + i);
+    spec.address_space = net::Prefix4(net::IPv4Address(60, static_cast<std::uint8_t>(i + 1), 0, 0), 20);
+    routers.push_back(&ixp.add_member(spec));
+    if (filter_last && i + 1 == members) bgp::SetLinkHook(std::move(previous));
+  }
+  ixp.settle(30.0);
+  const auto& registry = obs::registry();
+  const std::uint64_t encoded = registry.counter_total("bgp.codec.updates_encoded");
+  const std::uint64_t decoded = registry.counter_total("bgp.codec.updates_decoded");
+  routers[0]->announce(P4("60.1.1.0/24"));
+  ixp.settle(5.0);
+  CodecWork work{registry.counter_total("bgp.codec.updates_encoded") - encoded,
+                 registry.counter_total("bgp.codec.updates_decoded") - decoded, 0};
+  for (MemberRouter* router : routers) {
+    if (!router->rib().routes_for(P4("60.1.1.0/24")).empty()) ++work.receivers;
+  }
+  return work;
+}
+
+TEST(RouteServerTest, FanOutEncodesAndDecodesOncePerUpdateGroup) {
+  // One encode and one decode for the member's UPDATE to the route server,
+  // and one of each for the fan-out, whatever the number of receivers.
+  for (const std::size_t members : {3u, 9u}) {
+    const CodecWork work = AnnounceOnce(members, /*filter_last=*/false);
+    EXPECT_EQ(work.receivers, members - 1) << members << " members";
+    EXPECT_EQ(work.encoded, 2u) << members << " members";
+    EXPECT_EQ(work.decoded, 2u) << members << " members";
+  }
+  // A fault-filtered link carries a private copy, which its receiver decodes
+  // for itself.
+  const CodecWork filtered = AnnounceOnce(9, /*filter_last=*/true);
+  EXPECT_EQ(filtered.receivers, 8u);
+  EXPECT_EQ(filtered.encoded, 2u);
+  EXPECT_EQ(filtered.decoded, 3u);
 }
 
 }  // namespace

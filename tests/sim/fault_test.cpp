@@ -21,7 +21,7 @@ TEST(FaultInjectorTest, LinksCreatedWhileDisarmedAreNotWrapped) {
   FaultInjector injector(queue, plan);
   auto [ea, eb] = bgp::MakeLink(queue);  // Before arm(): untouched.
   int received = 0;
-  eb->set_receive_handler([&](std::span<const std::uint8_t>) { ++received; });
+  eb->set_receive_handler([&](const bgp::Frame&) { ++received; });
   ea->send(Payload(4));
   queue.run_until(Seconds(1.0));
   EXPECT_EQ(received, 1);
@@ -36,7 +36,7 @@ TEST(FaultInjectorTest, DropProbabilityOneDropsEverything) {
   injector.arm();
   auto [ea, eb] = bgp::MakeLink(queue);
   int received = 0;
-  eb->set_receive_handler([&](std::span<const std::uint8_t>) { ++received; });
+  eb->set_receive_handler([&](const bgp::Frame&) { ++received; });
   for (int i = 0; i < 5; ++i) ea->send(Payload(8));
   queue.run_until(Seconds(1.0));
   EXPECT_EQ(received, 0);
@@ -53,8 +53,8 @@ TEST(FaultInjectorTest, CorruptionFlipsExactlyOneByte) {
   injector.arm();
   auto [ea, eb] = bgp::MakeLink(queue);
   std::vector<std::uint8_t> received;
-  eb->set_receive_handler([&](std::span<const std::uint8_t> bytes) {
-    received.assign(bytes.begin(), bytes.end());
+  eb->set_receive_handler([&](const bgp::Frame& frame) {
+    received.assign(frame.bytes().begin(), frame.bytes().end());
   });
   const auto sent = Payload(16);
   ea->send(sent);
@@ -76,7 +76,7 @@ TEST(FaultInjectorTest, JitterDelaysButDelivers) {
   injector.arm();
   auto [ea, eb] = bgp::MakeLink(queue);
   int received = 0;
-  eb->set_receive_handler([&](std::span<const std::uint8_t>) { ++received; });
+  eb->set_receive_handler([&](const bgp::Frame&) { ++received; });
   ea->send(Payload(4));
   queue.run_until(Seconds(5.1));  // Latency (1 ms) + jitter < 5 s.
   EXPECT_EQ(received, 1);
@@ -93,7 +93,7 @@ TEST(FaultInjectorTest, FaultsOnlyInsideStormWindow) {
   injector.arm();
   auto [ea, eb] = bgp::MakeLink(queue);
   int received = 0;
-  eb->set_receive_handler([&](std::span<const std::uint8_t>) { ++received; });
+  eb->set_receive_handler([&](const bgp::Frame&) { ++received; });
   ea->send(Payload(4));  // t=0: before the storm.
   queue.run_until(Seconds(15.0));
   ea->send(Payload(4));  // t=15: inside.
@@ -112,7 +112,7 @@ TEST(FaultInjectorTest, PartitionDropsEverythingWhileActive) {
   injector.arm();
   auto [ea, eb] = bgp::MakeLink(queue);
   int received = 0;
-  eb->set_receive_handler([&](std::span<const std::uint8_t>) { ++received; });
+  eb->set_receive_handler([&](const bgp::Frame&) { ++received; });
   queue.run_until(Seconds(7.0));
   ea->send(Payload(4));  // Inside the partition.
   queue.run_until(Seconds(11.0));
@@ -159,8 +159,8 @@ std::string RunTraceScenario(std::uint64_t seed) {
   FaultInjector injector(queue, plan);
   injector.arm();
   auto [ea, eb] = bgp::MakeLink(queue);
-  eb->set_receive_handler([&eb = eb](std::span<const std::uint8_t> bytes) {
-    eb->send(std::vector<std::uint8_t>(bytes.begin(), bytes.end()));  // Echo.
+  eb->set_receive_handler([&eb = eb](const bgp::Frame& frame) {
+    eb->send(std::vector<std::uint8_t>(frame.bytes().begin(), frame.bytes().end()));  // Echo.
   });
   for (int i = 0; i < 50; ++i) ea->send(Payload(static_cast<std::size_t>(8 + i)));
   queue.run_until(Seconds(60.0));
@@ -185,7 +185,7 @@ TEST(FaultInjectorTest, DisarmStopsWrappingNewLinks) {
   injector.disarm();
   auto [ea2, eb2] = bgp::MakeLink(queue);
   int received = 0;
-  eb2->set_receive_handler([&](std::span<const std::uint8_t>) { ++received; });
+  eb2->set_receive_handler([&](const bgp::Frame&) { ++received; });
   ea2->send(Payload(4));
   queue.run_until(Seconds(1.0));
   EXPECT_EQ(received, 1);  // Post-disarm link is clean.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: optimized Release build (-O2) with assert() forced on
-# (STELLAR_FORCE_ASSERTS strips NDEBUG), full test suite, then the two
-# scaling smoke gates:
+# CI entry point: optimized Release build with assert() forced on
+# (STELLAR_FORCE_ASSERTS strips NDEBUG) and every compiler warning an error
+# (-Werror: the tree builds warning-free, so a new warning stays visible),
+# full test suite, then the two scaling smoke gates:
 #   - fig9_scaling --smoke   : TCAM frontier shape at 350 AND 800 member
 #                              ports (the paper's L-IXP member scale);
 #   - signal_storm --smoke   : batched control-plane apply >=5x faster than
@@ -23,6 +24,7 @@ JOBS=${JOBS:-$(nproc)}
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-Werror \
   -DSTELLAR_FORCE_ASSERTS=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
