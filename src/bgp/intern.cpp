@@ -1,7 +1,5 @@
 #include "bgp/intern.hpp"
 
-#include <utility>
-
 namespace stellar::bgp {
 
 namespace {
@@ -52,29 +50,13 @@ std::shared_ptr<const PathAttributes> AttrPool::intern(const PathAttributes& att
       return existing;
     }
   }
-  return adopt(hash, PathAttributes(attrs));
-}
-
-std::shared_ptr<const PathAttributes> AttrPool::intern(PathAttributes&& attrs) {
-  const std::size_t hash = HashAttrs(attrs);
-  const auto [lo, hi] = pool_.equal_range(hash);
-  for (auto it = lo; it != hi; ++it) {
-    if (auto existing = it->second.lock(); existing && *existing == attrs) {
-      ++stats_.hits;
-      return existing;
-    }
-  }
-  return adopt(hash, std::move(attrs));
-}
-
-std::shared_ptr<const PathAttributes> AttrPool::adopt(std::size_t hash, PathAttributes&& attrs) {
   ++stats_.misses;
   // The deleter unlinks the pool slot when the last RIB reference drops, so
   // withdrawn routes do not leave tombstones behind. `this` outlives every
   // interned pointer: the global pool is a function-local static constructed
   // before any RIB and destroyed after them.
   std::shared_ptr<const PathAttributes> value(
-      new PathAttributes(std::move(attrs)), [this, hash](const PathAttributes* p) {
+      new PathAttributes(attrs), [this, hash](const PathAttributes* p) {
         release(hash, p);
         delete p;
       });

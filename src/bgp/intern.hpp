@@ -33,11 +33,10 @@ class AttrPool {
   AttrPool(const AttrPool&) = delete;
   AttrPool& operator=(const AttrPool&) = delete;
 
-  /// Returns the canonical shared instance equal to `attrs`, creating it if
-  /// this is the first time the value is seen. Two interned pointers compare
-  /// equal iff the attribute sets compare equal.
+  /// Returns the canonical shared instance equal to `attrs`, copying `attrs`
+  /// into a new one only if this is the first time the value is seen. Two
+  /// interned pointers compare equal iff the attribute sets compare equal.
   [[nodiscard]] std::shared_ptr<const PathAttributes> intern(const PathAttributes& attrs);
-  [[nodiscard]] std::shared_ptr<const PathAttributes> intern(PathAttributes&& attrs);
 
   /// Distinct attribute sets currently alive.
   [[nodiscard]] std::size_t size() const { return pool_.size(); }
@@ -58,7 +57,6 @@ class AttrPool {
     std::weak_ptr<const PathAttributes> value;
   };
 
-  std::shared_ptr<const PathAttributes> adopt(std::size_t hash, PathAttributes&& attrs);
   void release(std::size_t hash, const PathAttributes* attrs) noexcept;
 
   std::unordered_multimap<std::size_t, std::weak_ptr<const PathAttributes>> pool_;
@@ -68,9 +66,6 @@ class AttrPool {
 /// Convenience: intern into the global pool.
 [[nodiscard]] inline std::shared_ptr<const PathAttributes> Intern(const PathAttributes& attrs) {
   return AttrPool::global().intern(attrs);
-}
-[[nodiscard]] inline std::shared_ptr<const PathAttributes> Intern(PathAttributes&& attrs) {
-  return AttrPool::global().intern(std::move(attrs));
 }
 
 }  // namespace stellar::bgp

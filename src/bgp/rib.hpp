@@ -13,6 +13,12 @@
 // IPv6 unicast carried in MP_REACH/MP_UNREACH. Afi<PrefixT> holds every
 // wire-level fact that differs between the two, so code above the codec is
 // written once over the prefix type.
+//
+// Routes go in and come out borrowed: insert() takes a BasicRouteView of the
+// caller's attributes (a received UPDATE's, shared by every receiver of a
+// fan-out) and interns them, copying only on a pool miss; for_each() and
+// visit_prefix() hand out views of the stored, interned attributes. The
+// owned BasicRoute is for fixtures, snapshot() and best().
 #pragma once
 
 #include <cstdint>
@@ -153,6 +159,22 @@ struct PerAfi {
   }
 };
 
+/// Borrowed view of a route: what a RIB takes on insert and hands out when
+/// visited. The references stay valid while the route (a stored RIB entry, a
+/// received UPDATE's attributes) is neither mutated nor destroyed, so a
+/// visitor must not mutate the RIB and must not keep a view past its call.
+template <typename PrefixT>
+struct BasicRouteView {
+  const PrefixT& prefix;
+  PeerId peer = 0;
+  PathId path_id = 0;
+  const PathAttributes& attrs;
+};
+
+using RouteView = BasicRouteView<net::Prefix4>;
+using RouteView6 = BasicRouteView<net::Prefix6>;
+
+/// An owned route: test fixtures, snapshots and best-path results.
 template <typename PrefixT>
 struct BasicRoute {
   PrefixT prefix;
@@ -161,6 +183,9 @@ struct BasicRoute {
   PathAttributes attrs;
 
   friend bool operator==(const BasicRoute&, const BasicRoute&) = default;
+
+  /// Borrows this route, e.g. to insert it into a RIB.
+  operator BasicRouteView<PrefixT>() const { return {prefix, peer, path_id, attrs}; }
 
   [[nodiscard]] std::string str() const {
     std::string s = prefix.str() + " peer=" + std::to_string(peer);
@@ -172,25 +197,6 @@ struct BasicRoute {
 
 using Route = BasicRoute<net::Prefix4>;
 using Route6 = BasicRoute<net::Prefix6>;
-
-/// Zero-copy view of a stored route: references stay valid while the RIB is
-/// not mutated. The hot paths at member scale (controller full passes,
-/// route-server re-export fan-out) iterate views instead of materializing
-/// BasicRoute copies of the (interned) attributes.
-template <typename PrefixT>
-struct BasicRouteView {
-  const PrefixT& prefix;
-  PeerId peer = 0;
-  PathId path_id = 0;
-  const PathAttributes& attrs;
-
-  [[nodiscard]] BasicRoute<PrefixT> materialize() const {
-    return BasicRoute<PrefixT>{prefix, peer, path_id, attrs};
-  }
-};
-
-using RouteView = BasicRouteView<net::Prefix4>;
-using RouteView6 = BasicRouteView<net::Prefix6>;
 
 /// RFC 4271 §9.1 decision process (the subset meaningful at an IXP route
 /// server): local-pref desc, as-path length asc, origin asc, MED asc,
@@ -218,15 +224,17 @@ template <typename PrefixT>
 class BasicRib {
  public:
   using RouteT = BasicRoute<PrefixT>;
+  using View = BasicRouteView<PrefixT>;
 
   /// Inserts or replaces the route identified by (prefix, peer, path_id).
   /// Returns true if the RIB changed (new route or different attributes).
   /// Attributes are interned through the process-wide AttrPool: the N ribs
-  /// holding the same announcement share one allocation, and the change check
-  /// is a pointer comparison.
-  bool insert(RouteT route) {
+  /// holding the same announcement share one allocation, the borrowed
+  /// attributes are copied only when the pool has no equal value yet, and
+  /// the change check is a pointer comparison.
+  bool insert(const View& route) {
     const Key key{route.prefix, route.peer, route.path_id};
-    auto interned = Intern(std::move(route.attrs));
+    auto interned = Intern(route.attrs);
     auto [it, inserted] = routes_.try_emplace(key, interned);
     if (inserted) return true;
     if (it->second == interned) return false;  // Same pool instance <=> equal attrs.
@@ -262,7 +270,7 @@ class BasicRib {
       if (withdraw(prefix, peer, path_id)) ++changes;
     });
     Afi<PrefixT>::for_each_announced(update, [&](const PrefixT& prefix, PathId path_id) {
-      if (insert(RouteT{prefix, peer, path_id, update.attrs})) ++changes;
+      if (insert(View{prefix, peer, path_id, update.attrs})) ++changes;
     });
     return changes;
   }
@@ -284,14 +292,12 @@ class BasicRib {
     return out;
   }
 
-  /// Zero-copy variant of routes_for: visits each path of `prefix` without
-  /// materializing attribute copies. Do not mutate the RIB from `fn`.
-  void visit_prefix(const PrefixT& prefix,
-                    const std::function<void(const BasicRouteView<PrefixT>&)>& fn) const {
+  /// Visits each path of `prefix` as a view (no attribute copies). Do not
+  /// mutate the RIB from `fn`.
+  void visit_prefix(const PrefixT& prefix, const std::function<void(const View&)>& fn) const {
     for (auto it = routes_.lower_bound(Key{prefix, 0, 0});
          it != routes_.end() && it->first.prefix == prefix; ++it) {
-      fn(BasicRouteView<PrefixT>{it->first.prefix, it->first.peer, it->first.path_id,
-                                 *it->second});
+      fn(View{it->first.prefix, it->first.peer, it->first.path_id, *it->second});
     }
   }
 
@@ -328,18 +334,10 @@ class BasicRib {
   [[nodiscard]] bool empty() const { return routes_.empty(); }
   void clear() { routes_.clear(); }
 
-  /// Visits every route (sorted order).
-  void for_each(const std::function<void(const RouteT&)>& fn) const {
-    for (const auto& [key, attrs] : routes_) {
-      fn(RouteT{key.prefix, key.peer, key.path_id, *attrs});
-    }
-  }
-
-  /// Zero-copy variant of for_each. Do not mutate the RIB from `fn`.
-  void for_each_view(const std::function<void(const BasicRouteView<PrefixT>&)>& fn) const {
-    for (const auto& [key, attrs] : routes_) {
-      fn(BasicRouteView<PrefixT>{key.prefix, key.peer, key.path_id, *attrs});
-    }
+  /// Visits every route as a view, in sorted order. Do not mutate the RIB
+  /// from `fn`.
+  void for_each(const std::function<void(const View&)>& fn) const {
+    for (const auto& [key, attrs] : routes_) fn(View{key.prefix, key.peer, key.path_id, *attrs});
   }
 
  private:

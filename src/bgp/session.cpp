@@ -7,8 +7,8 @@ namespace stellar::bgp {
 
 namespace {
 
-/// KEEPALIVE is the bare header under every codec: one frame per process.
-/// Only UPDATE frames memoise a decode, so this one is never written.
+/// KEEPALIVE is the bare header under every codec: one frame per process,
+/// which keeps one decode per rx codec.
 const FramePtr& KeepaliveFrame() {
   static const FramePtr frame = std::make_shared<const Frame>(Encode(KeepaliveMessage{}));
   return frame;
@@ -19,20 +19,16 @@ const FramePtr& KeepaliveFrame() {
 // ---------------------------------------------------------------------------
 // Frame / SharedUpdate.
 
-const UpdateMessage* Frame::update(const CodecOptions& codec) const {
-  if (bytes_.size() < kHeaderSize ||
-      bytes_[kHeaderSize - 1] != static_cast<std::uint8_t>(MessageType::kUpdate)) {
-    return nullptr;
-  }
+const Message* Frame::message(const CodecOptions& codec) const {
   for (const Decoded& d : decoded_) {
-    if (d.codec == codec) return d.update ? &*d.update : nullptr;
+    if (d.codec == codec) return d.message ? &*d.message : nullptr;
   }
   Decoded& d = decoded_.emplace_front(Decoded{codec, std::nullopt});
   auto framed = DecodeFramed(bytes_, codec);
   if (framed.ok() && framed->message && framed->consumed == bytes_.size()) {
-    if (auto* update = std::get_if<UpdateMessage>(&*framed->message)) d.update = std::move(*update);
+    d.message = std::move(framed->message);
   }
-  return d.update ? &*d.update : nullptr;
+  return d.message ? &*d.message : nullptr;
 }
 
 const FramePtr& SharedUpdate::frame(const CodecOptions& codec) {
@@ -198,14 +194,13 @@ void Session::stop(std::uint8_t cease_subcode) {
 }
 
 void Session::on_frame(const Frame& frame) {
-  // Decode once: a whole UPDATE arriving on a clean stream is decoded by the
-  // frame, once for every session that shares it under the same rx codec.
-  // The steps match on_bytes for that message.
-  if (rx_buffer_.empty() && state_ == SessionState::kEstablished) {
-    if (const UpdateMessage* update = frame.update(rx_codec_)) {
+  // Decode once: a whole message arriving on a clean stream is decoded by
+  // the frame, once for every session that shares it under the same rx
+  // codec.
+  if (rx_buffer_.empty()) {
+    if (const Message* msg = frame.message(rx_codec_)) {
       arm_hold_timer();
-      ++updates_received_;
-      if (on_update_) on_update_(*update);
+      handle_message(*msg);
       return;
     }
   }
@@ -224,7 +219,7 @@ void Session::on_bytes(std::span<const std::uint8_t> bytes) {
     rx_buffer_.erase(rx_buffer_.begin(),
                      rx_buffer_.begin() + static_cast<std::ptrdiff_t>(framed->consumed));
     arm_hold_timer();
-    handle_message(std::move(*framed->message));
+    handle_message(*framed->message);
     if (state_ == SessionState::kClosed) return;
   }
 }
@@ -233,10 +228,10 @@ void Session::on_transport_closed() {
   set_state(SessionState::kClosed);
 }
 
-void Session::handle_message(Message msg) {
+void Session::handle_message(const Message& msg) {
   switch (TypeOf(msg)) {
     case MessageType::kOpen:
-      handle_open(std::move(std::get<OpenMessage>(msg)));
+      handle_open(std::get<OpenMessage>(msg));
       break;
     case MessageType::kKeepalive:
       ++keepalives_received_;
@@ -264,7 +259,7 @@ void Session::handle_message(Message msg) {
   }
 }
 
-void Session::handle_open(OpenMessage open) {
+void Session::handle_open(const OpenMessage& open) {
   if (state_ != SessionState::kOpenSent) {
     fail(NotificationCode::kFsmError, 0, "OPEN in state " + std::string(ToString(state_)));
     return;

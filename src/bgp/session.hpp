@@ -14,17 +14,18 @@
 //   - Encode once per group. A route server hands every session of an
 //     update group one SharedUpdate; each Established session sends the
 //     frame encoded once per tx codec.
-//   - Decode once per frame. A session whose rx buffer is empty and that
-//     receives exactly one complete UPDATE while Established takes the
-//     decoded message from the frame, which decodes once per rx codec and
-//     keeps the result with itself. Partial, coalesced or corrupt input and
-//     anything outside Established take the stream-reassembly path
-//     unchanged.
+//   - Decode once per frame. A frame that holds exactly one whole,
+//     well-formed message of any kind decodes once per rx codec and keeps
+//     the result with itself. A session whose rx buffer is empty hands that
+//     message to handle_message, so the receivers of a fan-out share one
+//     decoded message; the FSM checks (UPDATE outside Established, ...) are
+//     the same as on the reassembly path. Partial, coalesced or corrupt
+//     input takes the stream-reassembly path.
 //   - Private copies under fault filters. A link with a fault filter copies
 //     the frame before the filter may touch it, so a corrupting link never
 //     changes the bytes another peer receives.
 //   - KEEPALIVE is the same 19 bytes under every codec: one frame per
-//     process.
+//     process, decoded once per codec.
 #pragma once
 
 #include <cstdint>
@@ -54,16 +55,16 @@ class Frame {
 
   [[nodiscard]] std::span<const std::uint8_t> bytes() const { return bytes_; }
 
-  /// The UPDATE these bytes hold under `codec`, or null unless they hold
-  /// exactly one complete, well-formed UPDATE. Decoded on the first call per
+  /// The message these bytes hold under `codec`, or null unless they hold
+  /// exactly one complete, well-formed message. Decoded on the first call per
   /// codec; later calls return the same object, which lives as long as the
   /// frame.
-  [[nodiscard]] const UpdateMessage* update(const CodecOptions& codec) const;
+  [[nodiscard]] const Message* message(const CodecOptions& codec) const;
 
  private:
   struct Decoded {
     CodecOptions codec;
-    std::optional<UpdateMessage> update;
+    std::optional<Message> message;
   };
 
   std::vector<std::uint8_t> bytes_;
@@ -236,8 +237,8 @@ class Session {
   void on_frame(const Frame& frame);
   void on_bytes(std::span<const std::uint8_t> bytes);
   void on_transport_closed();
-  void handle_message(Message msg);
-  void handle_open(OpenMessage open);
+  void handle_message(const Message& msg);
+  void handle_open(const OpenMessage& open);
   void enter_established();
   void send(const Message& msg, const CodecOptions& codec);
   void send_keepalive();

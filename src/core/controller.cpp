@@ -135,7 +135,7 @@ void BlackholingController::on_update(const bgp::UpdateMessage& update) {
 }
 
 std::vector<std::pair<std::string, BlackholingController::DesiredRule>>
-BlackholingController::derive_rules(const bgp::Route& route) {
+BlackholingController::derive_rules(const bgp::RouteView& route) {
   std::vector<std::pair<std::string, DesiredRule>> out;
   const bool ext_namespace_usable = config_.ixp_asn <= 0xffff;
   const bool has_ext =
@@ -301,7 +301,7 @@ void BlackholingController::process_full() {
   rejected_ports_.clear();
   std::map<std::string, DesiredRule> target;
   std::map<filter::PortId, int> rules_per_port;
-  rib_.for_each([&](const bgp::Route& route) {
+  rib_.for_each([&](const bgp::RouteView& route) {
     for (auto& [key, desired] : derive_rules(route)) {
       // Admission control: cap concurrent rules per member port. The first
       // budget-many rules in RIB order win; the rest are rejected.
@@ -339,7 +339,7 @@ void BlackholingController::process_incremental() {
   for (const auto& prefix : dirty_) {
     Delta d;
     rib_.visit_prefix(prefix, [&](const bgp::RouteView& view) {
-      for (auto& [key, desired] : derive_rules(view.materialize())) {
+      for (auto& [key, desired] : derive_rules(view)) {
         d.next.emplace(std::move(key), std::move(desired));
       }
     });

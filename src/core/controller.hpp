@@ -175,7 +175,7 @@ class BlackholingController {
   void on_update(const bgp::UpdateMessage& update);
   /// Derives the rules a single RIB route asks for.
   [[nodiscard]] std::vector<std::pair<std::string, DesiredRule>> derive_rules(
-      const bgp::Route& route);
+      const bgp::RouteView& route);
   void init_session(TransportFactory factory, bgp::ReconnectPolicy policy);
   /// Full O(RIB) recompute of the desired set (the paper's snapshot diff).
   void process_full();

@@ -14,7 +14,7 @@ RouteServer::Config MakeRouteServerConfig(const Ixp::Config& config, const IrrDa
   rs.blackhole_next_hop = config.blackhole_next_hop;
   rs.irr = &irr;
   rs.irr6 = &irr6;
-  rs.rpki = config.enable_rpki ? &rpki : nullptr;
+  rs.rpki = &rpki;
   rs.bogons = &bogons;
   rs.bogons6 = &bogons6;
   return rs;

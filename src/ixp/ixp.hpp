@@ -40,7 +40,6 @@ class Ixp {
     /// Edge-router hardware limits; zero pools = unlimited (functional tests).
     filter::TcamLimits tcam{};
     filter::CpuModelConfig cpu{};
-    bool enable_rpki = true;
   };
 
   Ixp(sim::EventQueue& queue, Config config);

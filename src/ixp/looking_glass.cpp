@@ -46,8 +46,7 @@ std::vector<std::string> LookingGlass::show_route6(const net::Prefix6& prefix) c
 
 std::vector<std::string> LookingGlass::show_rib_summary() const {
   std::map<net::Prefix4, std::size_t> paths_per_prefix;
-  server_.adj_rib_in().for_each(
-      [&](const bgp::Route& r) { ++paths_per_prefix[r.prefix]; });
+  server_.adj_rib_in().for_each([&](const bgp::RouteView& r) { ++paths_per_prefix[r.prefix]; });
   std::vector<std::string> out;
   for (const auto& [prefix, count] : paths_per_prefix) {
     out.push_back(prefix.str() + " paths=" + std::to_string(count));

@@ -14,10 +14,6 @@ MemberRouter::MemberRouter(sim::EventQueue& queue, MemberInfo info,
       blackhole_next_hop_(blackhole_next_hop),
       blackhole_next_hop6_(blackhole_next_hop6) {}
 
-bgp::Session* MemberRouter::active_session() {
-  return reconnector_ ? reconnector_->session() : session_.get();
-}
-
 void MemberRouter::teardown_session() {
   if (reconnector_) {
     reconnector_->stop();
@@ -99,7 +95,7 @@ void MemberRouter::withdraw6(const net::Prefix6& prefix) { withdraw_prefix(prefi
 
 template <typename PrefixT>
 void MemberRouter::announce_prefix(const PrefixT& prefix, AnnouncedAttrs attrs) {
-  if (!active_session()) throw std::logic_error("MemberRouter: connect() before announcing");
+  if (!session()) throw std::logic_error("MemberRouter: connect() before announcing");
   send_announce(prefix, announced_.get<PrefixT>()[prefix] = std::move(attrs));
 }
 
@@ -132,14 +128,14 @@ void MemberRouter::send_announce(const PrefixT& prefix, const AnnouncedAttrs& an
     nh[15] = static_cast<std::uint8_t>(v4);
     Afi::set_next_hop(attrs, net::IPv6Address(nh));
   }
-  active_session()->announce(Afi::announce(std::move(attrs), prefix));
+  session()->announce(Afi::announce(std::move(attrs), prefix));
 }
 
 template <typename PrefixT>
 void MemberRouter::withdraw_prefix(const PrefixT& prefix) {
-  if (!active_session()) throw std::logic_error("MemberRouter: connect() before announcing");
+  if (!session()) throw std::logic_error("MemberRouter: connect() before announcing");
   announced_.get<PrefixT>().erase(prefix);
-  active_session()->announce(bgp::Afi<PrefixT>::withdraw(prefix));
+  session()->announce(bgp::Afi<PrefixT>::withdraw(prefix));
 }
 
 void MemberRouter::update_policy(MemberPolicy policy) {
@@ -149,22 +145,28 @@ void MemberRouter::update_policy(MemberPolicy policy) {
     evict_more_specifics<net::Prefix4>();
     evict_more_specifics<net::Prefix6>();
   }
-  bgp::Session* session = active_session();
-  if (session != nullptr && session->established()) {
+  bgp::Session* live = session();
+  if (live != nullptr && live->established()) {
     // Relaxed (or unchanged): ask the route server to re-send everything so
     // the new import policy sees routes it previously filtered.
-    request_refresh(*session);
+    request_refresh(*live);
   }
 }
 
 template <typename PrefixT>
 void MemberRouter::evict_more_specifics() {
+  // One path per prefix, learned from the route server (peer 0) without
+  // ADD-PATH.
   auto& rib = ribs_.get<PrefixT>();
-  for (const auto& route : rib.snapshot()) {
+  std::vector<PrefixT> evicted;
+  rib.for_each([&](const bgp::BasicRouteView<PrefixT>& route) {
     if (route.prefix.length() > bgp::Afi<PrefixT>::kMaxCommonLength) {
-      rib.withdraw(route.prefix, route.peer, route.path_id);
-      blackholed_.get<PrefixT>().erase(route.prefix);
+      evicted.push_back(route.prefix);
     }
+  });
+  for (const auto& prefix : evicted) {
+    rib.withdraw(prefix, 0);
+    blackholed_.get<PrefixT>().erase(prefix);
   }
 }
 
@@ -207,7 +209,7 @@ void MemberRouter::import_update(const bgp::UpdateMessage& update) {
       ++rejected_more_specifics_;
       return;
     }
-    rib.insert(bgp::BasicRoute<PrefixT>{prefix, 0, path_id, update.attrs});
+    rib.insert({prefix, 0, path_id, update.attrs});
 
     const bool is_blackhole_route =
         update.attrs.has_community(bgp::kBlackhole) &&

@@ -125,7 +125,6 @@ class MemberRouter {
   void on_update(const bgp::UpdateMessage& update);
   /// Flushes every route learned from the route server when the session closes.
   void on_state(bgp::SessionState state);
-  [[nodiscard]] bgp::Session* active_session();
   void teardown_session();
   /// Asks the route server to re-send every AFI this router runs.
   void request_refresh(bgp::Session& session);

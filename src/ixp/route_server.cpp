@@ -85,11 +85,11 @@ std::shared_ptr<bgp::Endpoint> RouteServer::accept_controller() {
   // full Adj-RIB-In so it can rebuild desired state from scratch.
   controller_session_->set_refresh_handler([this](const bgp::RouteRefreshMessage& refresh) {
     if (refresh.afi != bgp::kAfiIPv4) return;
-    ribs_.v4.for_each([this](const bgp::Route& route) { controller_announce(route); });
+    ribs_.v4.for_each([this](const bgp::RouteView& route) { controller_announce(route); });
   });
   controller_session_->start();
   // Initial RIB synchronization: queued updates flush on establishment.
-  ribs_.v4.for_each([this](const bgp::Route& route) { controller_announce(route); });
+  ribs_.v4.for_each([this](const bgp::RouteView& route) { controller_announce(route); });
   return controller_side;
 }
 
@@ -155,13 +155,10 @@ void RouteServer::import_update(bgp::PeerId peer, const bgp::UpdateMessage& upda
       return;
     }
     // Members do not use ADD-PATH northbound.
-    bgp::BasicRoute<PrefixT> route{prefix, peer, 0, update.attrs};
+    const bgp::BasicRouteView<PrefixT> route{prefix, peer, 0, update.attrs};
     if (!rib.insert(route)) return;
     touched.push_back(prefix);
-    if constexpr (kV4) {
-      route.path_id = ControllerPathId(peer);
-      controller_announce(route);
-    }
+    if constexpr (kV4) controller_announce(route);
     if (update.attrs.has_community(bgp::kBlackhole)) {
       log_blackhole_event(from, prefix, update.attrs, /*withdrawn=*/false);
     }
@@ -180,7 +177,7 @@ void RouteServer::withdraw_peer(bgp::PeerId peer) {
   auto& rib = ribs_.get<PrefixT>();
   std::vector<PrefixT> touched;
   std::vector<std::pair<PrefixT, bgp::PathAttributes>> blackholed;
-  rib.for_each_view([&](const bgp::BasicRouteView<PrefixT>& route) {
+  rib.for_each([&](const bgp::BasicRouteView<PrefixT>& route) {
     if (route.peer != peer) return;
     touched.push_back(route.prefix);
     if (route.attrs.has_community(bgp::kBlackhole)) {
@@ -383,7 +380,7 @@ bgp::PathAttributes RouteServer::member_export_attrs(const bgp::PathAttributes& 
   return out;
 }
 
-void RouteServer::controller_announce(const bgp::Route& route) {
+void RouteServer::controller_announce(const bgp::RouteView& route) {
   if (!controller_session_) return;
   // Signal routes get a trace mark at the point the route server relays them
   // to the controller over the ADD-PATH iBGP session. (Replays on resync
@@ -393,9 +390,7 @@ void RouteServer::controller_announce(const bgp::Route& route) {
   }
   bgp::UpdateMessage update;
   update.attrs = route.attrs;
-  update.announced.push_back(
-      bgp::Nlri4{route.path_id != 0 ? route.path_id : ControllerPathId(route.peer),
-                 route.prefix});
+  update.announced.push_back(bgp::Nlri4{ControllerPathId(route.peer), route.prefix});
   controller_session_->announce(std::move(update));
 }
 

@@ -167,7 +167,9 @@ class RouteServer {
   /// next-hop rewritten, Stellar extended communities removed.
   template <typename PrefixT>
   [[nodiscard]] bgp::PathAttributes member_export_attrs(const bgp::PathAttributes& attrs) const;
-  void controller_announce(const bgp::Route& route);
+  /// Sends a member's accepted route to the controller under its peer's
+  /// ADD-PATH path-id.
+  void controller_announce(const bgp::RouteView& route);
   void controller_withdraw(const net::Prefix4& prefix, bgp::PeerId peer);
 
   sim::EventQueue& queue_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bgp/intern.hpp"
+
 namespace stellar::bgp {
 namespace {
 
@@ -167,6 +169,92 @@ TEST(DiffSnapshotsTest, EmptyToFullAndBack) {
   const RibDiff shrink = DiffSnapshots(full, {});
   EXPECT_EQ(shrink.removed.size(), 2u);
   EXPECT_TRUE(shrink.added.empty());
+}
+
+PathAttributes MakeAttrs(Asn origin) { return MakeRoute("60.1.0.0/20", 1, 0, origin).attrs; }
+
+TEST(AttrPoolTest, RepeatValueReturnsTheSamePointer) {
+  AttrPool pool;
+  const PathAttributes attrs = MakeAttrs(65001);
+  const auto first = pool.intern(attrs);
+  const auto second = pool.intern(MakeAttrs(65001));
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(*first, attrs);
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool.stats().misses, 1u);
+  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_NE(pool.intern(MakeAttrs(65002)), first);
+}
+
+TEST(AttrPoolTest, FieldsTheHashSkipsStillDistinguishValues) {
+  // HashAttrs ignores `aggregator` and `unrecognized`: equal hashes, so only
+  // full equality keeps these apart.
+  AttrPool pool;
+  const PathAttributes plain = MakeAttrs(65001);
+  PathAttributes aggregated = plain;
+  aggregated.aggregator = std::pair{Asn{65001}, net::IPv4Address(10, 0, 0, 9)};
+  PathAttributes unrecognized = plain;
+  unrecognized.unrecognized.push_back(OpaqueAttribute{0xc0, 99, {1, 2, 3}});
+  ASSERT_EQ(HashAttrs(plain), HashAttrs(aggregated));
+  ASSERT_EQ(HashAttrs(plain), HashAttrs(unrecognized));
+
+  const auto a = pool.intern(plain);
+  const auto b = pool.intern(aggregated);
+  const auto c = pool.intern(unrecognized);
+  EXPECT_NE(a, b);
+  EXPECT_NE(a, c);
+  EXPECT_NE(b, c);
+  EXPECT_EQ(*b, aggregated);
+  EXPECT_EQ(*c, unrecognized);
+  EXPECT_EQ(pool.size(), 3u);
+  EXPECT_EQ(pool.intern(aggregated), b);
+  EXPECT_EQ(pool.intern(unrecognized), c);
+}
+
+TEST(AttrPoolTest, LastReleaseUnlinksTheSlot) {
+  AttrPool pool;
+  auto held = pool.intern(MakeAttrs(65001));
+  auto other = pool.intern(MakeAttrs(65001));
+  EXPECT_EQ(pool.size(), 1u);
+  held.reset();
+  EXPECT_EQ(pool.size(), 1u);  // `other` still holds the value.
+  EXPECT_EQ(pool.stats().released, 0u);
+  other.reset();
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(pool.stats().released, 1u);
+  // A later intern of the same value allocates afresh.
+  const auto again = pool.intern(MakeAttrs(65001));
+  EXPECT_EQ(*again, MakeAttrs(65001));
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool.stats().misses, 2u);
+}
+
+TEST(AttrPoolTest, BorrowedInputStaysUnchanged) {
+  AttrPool pool;
+  const PathAttributes attrs = MakeAttrs(65001);
+  const PathAttributes copy = attrs;
+  const auto interned = pool.intern(attrs);
+  EXPECT_EQ(attrs, copy);
+  EXPECT_NE(interned.get(), &attrs);  // The pool owns a copy.
+  EXPECT_EQ(pool.intern(attrs), interned);
+  EXPECT_EQ(attrs, copy);
+}
+
+TEST(RibTest, InsertBorrowsAView) {
+  Rib rib;
+  const Route route = MakeRoute("60.1.0.0/20", 1);
+  EXPECT_TRUE(rib.insert(RouteView{route.prefix, route.peer, route.path_id, route.attrs}));
+  EXPECT_FALSE(rib.insert(route));  // Same value: same interned instance.
+  const auto stored = rib.find(route.prefix, route.peer);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(*stored, route.attrs);
+  EXPECT_NE(stored.get(), &route.attrs);
+  int visited = 0;
+  rib.for_each([&](const RouteView& view) {
+    ++visited;
+    EXPECT_EQ(&view.attrs, stored.get());  // Views borrow the stored value.
+  });
+  EXPECT_EQ(visited, 1);
 }
 
 }  // namespace

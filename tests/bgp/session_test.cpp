@@ -201,6 +201,66 @@ TEST(SessionTest, GarbageBytesTerminateSession) {
   EXPECT_EQ(session.state(), SessionState::kClosed);
 }
 
+// Brings a session to OpenConfirm by hand (the peer's OPEN, no KEEPALIVE
+// yet) and records every message the session sends.
+struct OpenConfirmPeer {
+  sim::EventQueue queue;
+  std::shared_ptr<Endpoint> wire;
+  std::unique_ptr<Session> session;
+  std::vector<Message> sent;
+
+  OpenConfirmPeer() {
+    auto [ea, eb] = MakeLink(queue);
+    session = std::make_unique<Session>(queue, ea, Cfg(65001, 1));
+    wire = eb;
+    wire->set_receive_handler([this](const Frame& frame) {
+      if (auto msg = Decode(frame.bytes()); msg.ok()) sent.push_back(*msg);
+    });
+    session->start();
+    OpenMessage open;
+    open.my_asn = 65002;
+    open.bgp_identifier = net::IPv4Address(10, 0, 0, 2);
+    open.add_four_octet_as_capability();
+    open.capabilities.push_back(Capability{Capability::kRouteRefresh, {}});
+    wire->send(Encode(open));
+    queue.run_until(sim::Seconds(0.5));
+  }
+
+  /// True if the last message the session sent is an FSM-error NOTIFICATION.
+  [[nodiscard]] bool sent_fsm_error() const {
+    if (sent.empty()) return false;
+    const auto* n = std::get_if<NotificationMessage>(&sent.back());
+    return n != nullptr && n->code == NotificationCode::kFsmError;
+  }
+};
+
+TEST(SessionTest, UpdateInOpenConfirmIsAnFsmError) {
+  OpenConfirmPeer peer;
+  ASSERT_EQ(peer.session->state(), SessionState::kOpenConfirm);
+  UpdateMessage u;
+  u.attrs.origin = Origin::kIgp;
+  u.attrs.as_path = {{AsPathSegment::Type::kSequence, {65002}}};
+  u.attrs.next_hop = net::IPv4Address(10, 0, 0, 2);
+  u.announced = {{0, P4("60.1.0.0/20")}};
+  peer.wire->send(Encode(u));  // One whole, well-formed frame.
+  peer.queue.run_until(sim::Seconds(1.0));
+  EXPECT_EQ(peer.session->state(), SessionState::kClosed);
+  EXPECT_EQ(peer.session->updates_received(), 0u);
+  EXPECT_TRUE(peer.sent_fsm_error());
+}
+
+TEST(SessionTest, RouteRefreshInOpenConfirmIsAnFsmError) {
+  OpenConfirmPeer peer;
+  ASSERT_EQ(peer.session->state(), SessionState::kOpenConfirm);
+  int refreshes = 0;
+  peer.session->set_refresh_handler([&](const RouteRefreshMessage&) { ++refreshes; });
+  peer.wire->send(Encode(RouteRefreshMessage{kAfiIPv4, kSafiUnicast}));
+  peer.queue.run_until(sim::Seconds(1.0));
+  EXPECT_EQ(peer.session->state(), SessionState::kClosed);
+  EXPECT_EQ(refreshes, 0);
+  EXPECT_TRUE(peer.sent_fsm_error());
+}
+
 TEST(SessionTest, StateCallbacksFire) {
   SessionPair pair(Cfg(65001, 1), Cfg(65002, 2));
   std::vector<SessionState> states;

@@ -94,7 +94,7 @@ Exports Reference(const RouteServer& rs, bgp::Asn target) {
 
 Exports Held(const MemberRouter& member) {
   Exports out;
-  member.rib().for_each([&](const bgp::Route& r) { out.emplace(r.prefix, r.attrs); });
+  member.rib().for_each([&](const bgp::RouteView& r) { out.emplace(r.prefix, r.attrs); });
   return out;
 }
 

@@ -146,7 +146,7 @@ TEST_P(ChurnTest, StellarStateConsistentUnderRandomSignalChurn) {
   // never their own prefix.
   for (int m = 0; m < kMembers; ++m) {
     const auto& member = *members[static_cast<std::size_t>(m)];
-    member.rib().for_each([&](const bgp::Route& route) {
+    member.rib().for_each([&](const bgp::RouteView& route) {
       if (route.prefix.length() > 24) {
         EXPECT_TRUE(member.info().policy.accepts_more_specifics);
       }

@@ -24,6 +24,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "bgp/session.hpp"
@@ -56,7 +57,7 @@ std::string Hex(std::span<const std::uint8_t> bytes) {
 /// Everything the step check compares for one member.
 std::string Describe(MemberRouter& member) {
   std::string out;
-  member.rib().for_each([&](const bgp::Route& r) {
+  member.rib().for_each([&](const bgp::RouteView& r) {
     bgp::UpdateMessage attrs_only;
     attrs_only.attrs = r.attrs;
     out += r.prefix.str() + " " + Hex(bgp::Encode(attrs_only)) + "\n";
@@ -277,14 +278,30 @@ TEST(SharedFrameTest, DecodeIsMemoisedPerRxCodec) {
   const bgp::CodecOptions plain;
   const bgp::Frame frame(bgp::Encode(update, add_path));
 
-  const bgp::UpdateMessage* with_ids = frame.update(add_path);
+  const bgp::Message* with_ids = frame.message(add_path);
   ASSERT_NE(with_ids, nullptr);
-  EXPECT_EQ(*with_ids, update);
+  EXPECT_EQ(std::get<bgp::UpdateMessage>(*with_ids), update);
   // The same bytes read without path ids are not a well-formed UPDATE.
   ASSERT_FALSE(bgp::Decode(frame.bytes(), plain).ok());
-  EXPECT_EQ(frame.update(plain), nullptr);
+  EXPECT_EQ(frame.message(plain), nullptr);
   // Each codec's result is kept: the same object comes back.
-  EXPECT_EQ(frame.update(add_path), with_ids);
+  EXPECT_EQ(frame.message(add_path), with_ids);
+}
+
+TEST(SharedFrameTest, OnlyOneWholeMessageOfAnyKindIsDecoded) {
+  const bgp::CodecOptions codec;
+  const std::vector<std::uint8_t> keepalive = bgp::Encode(bgp::KeepaliveMessage{});
+  const bgp::Frame one(keepalive);
+  const bgp::Message* decoded = one.message(codec);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_TRUE(std::holds_alternative<bgp::KeepaliveMessage>(*decoded));
+
+  // Two messages in one frame, or part of one, go to stream reassembly.
+  std::vector<std::uint8_t> two = keepalive;
+  two.insert(two.end(), keepalive.begin(), keepalive.end());
+  EXPECT_EQ(bgp::Frame(two).message(codec), nullptr);
+  const std::vector<std::uint8_t> part(keepalive.begin(), keepalive.end() - 1);
+  EXPECT_EQ(bgp::Frame(part).message(codec), nullptr);
 }
 
 TEST(SharedFrameTest, BytesBufferedAheadOfAFrameAreReassembledWithIt) {

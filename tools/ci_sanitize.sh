@@ -59,3 +59,8 @@ done
 # heap's move-out dispatch and the manager's drain events, so ASan catches a
 # moved-from callback being run or a heap element read after pop_back.
 "$BUILD_DIR"/bench/fig10b_queue
+
+# Borrowed-route smoke test: the controller's ADD-PATH RIB derives its rules
+# from borrowed views of the stored routes, and the route server inserts views
+# of the received attributes, so ASan catches a view that outlives its route.
+"$BUILD_DIR"/bench/ablation_addpath
