@@ -527,73 +527,93 @@ void PathAttributes::prepend_asn(Asn asn) {
 // ---------------------------------------------------------------------------
 // Message encode/decode.
 
-MessageType TypeOf(const Message& msg) {
-  return std::visit(
-      [](const auto& m) -> MessageType {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, OpenMessage>) return MessageType::kOpen;
-        else if constexpr (std::is_same_v<T, UpdateMessage>) return MessageType::kUpdate;
-        else if constexpr (std::is_same_v<T, NotificationMessage>) return MessageType::kNotification;
-        else if constexpr (std::is_same_v<T, RouteRefreshMessage>) return MessageType::kRouteRefresh;
-        else return MessageType::kKeepalive;
-      },
-      msg);
+namespace {
+
+template <typename T>
+constexpr MessageType TypeOfAlternative() {
+  if constexpr (std::is_same_v<T, OpenMessage>) return MessageType::kOpen;
+  else if constexpr (std::is_same_v<T, UpdateMessage>) return MessageType::kUpdate;
+  else if constexpr (std::is_same_v<T, NotificationMessage>) return MessageType::kNotification;
+  else if constexpr (std::is_same_v<T, RouteRefreshMessage>) return MessageType::kRouteRefresh;
+  else return MessageType::kKeepalive;
 }
 
-std::vector<std::uint8_t> Encode(const Message& msg, const CodecOptions& opts) {
+template <typename T>
+std::vector<std::uint8_t> EncodeAlternative(const T& m, const CodecOptions& opts) {
   ByteWriter w;
   for (int i = 0; i < 16; ++i) w.u8(0xff);  // Marker.
   w.u16(0);                                 // Length, patched below.
-  w.u8(static_cast<std::uint8_t>(TypeOf(msg)));
+  w.u8(static_cast<std::uint8_t>(TypeOfAlternative<T>()));
 
-  std::visit(
-      [&](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, OpenMessage>) {
-          w.u8(m.version);
-          w.u16(m.my_asn > 0xffff ? kAsTrans : static_cast<std::uint16_t>(m.my_asn));
-          w.u16(m.hold_time_s);
-          w.u32(m.bgp_identifier.value());
-          ByteWriter params;
-          for (const auto& cap : m.capabilities) {
-            // Each capability in its own parameter (type 2), common practice.
-            params.u8(2);
-            params.u8(static_cast<std::uint8_t>(cap.value.size() + 2));
-            params.u8(cap.code);
-            params.u8(static_cast<std::uint8_t>(cap.value.size()));
-            params.bytes(cap.value);
-          }
-          w.u8(static_cast<std::uint8_t>(params.size()));
-          w.bytes(params.data());
-        } else if constexpr (std::is_same_v<T, UpdateMessage>) {
-          ByteWriter withdrawn;
-          for (const auto& n : m.withdrawn) WriteNlri4(withdrawn, n, opts);
-          w.u16(static_cast<std::uint16_t>(withdrawn.size()));
-          w.bytes(withdrawn.data());
-          ByteWriter attrs;
-          EncodeAttributes(attrs, m.attrs, opts);
-          w.u16(static_cast<std::uint16_t>(attrs.size()));
-          w.bytes(attrs.data());
-          for (const auto& n : m.announced) WriteNlri4(w, n, opts);
-          UpdatesEncoded().inc();
-        } else if constexpr (std::is_same_v<T, NotificationMessage>) {
-          w.u8(static_cast<std::uint8_t>(m.code));
-          w.u8(m.subcode);
-          w.bytes(m.data);
-        } else if constexpr (std::is_same_v<T, RouteRefreshMessage>) {
-          w.u16(m.afi);
-          w.u8(0);  // Reserved (RFC 2918 §3).
-          w.u8(m.safi);
-        }
-        // Keepalive: header only.
-      },
-      msg);
+  if constexpr (std::is_same_v<T, OpenMessage>) {
+    w.u8(m.version);
+    w.u16(m.my_asn > 0xffff ? kAsTrans : static_cast<std::uint16_t>(m.my_asn));
+    w.u16(m.hold_time_s);
+    w.u32(m.bgp_identifier.value());
+    ByteWriter params;
+    for (const auto& cap : m.capabilities) {
+      // Each capability in its own parameter (type 2), common practice.
+      params.u8(2);
+      params.u8(static_cast<std::uint8_t>(cap.value.size() + 2));
+      params.u8(cap.code);
+      params.u8(static_cast<std::uint8_t>(cap.value.size()));
+      params.bytes(cap.value);
+    }
+    w.u8(static_cast<std::uint8_t>(params.size()));
+    w.bytes(params.data());
+  } else if constexpr (std::is_same_v<T, UpdateMessage>) {
+    ByteWriter withdrawn;
+    for (const auto& n : m.withdrawn) WriteNlri4(withdrawn, n, opts);
+    w.u16(static_cast<std::uint16_t>(withdrawn.size()));
+    w.bytes(withdrawn.data());
+    ByteWriter attrs;
+    EncodeAttributes(attrs, m.attrs, opts);
+    w.u16(static_cast<std::uint16_t>(attrs.size()));
+    w.bytes(attrs.data());
+    for (const auto& n : m.announced) WriteNlri4(w, n, opts);
+    UpdatesEncoded().inc();
+  } else if constexpr (std::is_same_v<T, NotificationMessage>) {
+    w.u8(static_cast<std::uint8_t>(m.code));
+    w.u8(m.subcode);
+    w.bytes(m.data);
+  } else if constexpr (std::is_same_v<T, RouteRefreshMessage>) {
+    w.u16(m.afi);
+    w.u8(0);  // Reserved (RFC 2918 §3).
+    w.u8(m.safi);
+  }
+  // Keepalive: header only.
 
   if (w.size() > kMaxMessageSize) {
     throw std::length_error("BGP message exceeds 4096 bytes; split the update");
   }
   w.patch_u16(16, static_cast<std::uint16_t>(w.size()));
   return w.take();
+}
+
+}  // namespace
+
+MessageType TypeOf(const Message& msg) {
+  return std::visit(
+      [](const auto& m) { return TypeOfAlternative<std::decay_t<decltype(m)>>(); }, msg);
+}
+
+std::vector<std::uint8_t> Encode(const Message& msg, const CodecOptions& opts) {
+  return std::visit([&](const auto& m) { return EncodeAlternative(m, opts); }, msg);
+}
+std::vector<std::uint8_t> Encode(const OpenMessage& msg, const CodecOptions& opts) {
+  return EncodeAlternative(msg, opts);
+}
+std::vector<std::uint8_t> Encode(const UpdateMessage& msg, const CodecOptions& opts) {
+  return EncodeAlternative(msg, opts);
+}
+std::vector<std::uint8_t> Encode(const NotificationMessage& msg, const CodecOptions& opts) {
+  return EncodeAlternative(msg, opts);
+}
+std::vector<std::uint8_t> Encode(const KeepaliveMessage& msg, const CodecOptions& opts) {
+  return EncodeAlternative(msg, opts);
+}
+std::vector<std::uint8_t> Encode(const RouteRefreshMessage& msg, const CodecOptions& opts) {
+  return EncodeAlternative(msg, opts);
 }
 
 util::Result<Message> Decode(std::span<const std::uint8_t> data, const CodecOptions& opts) {

@@ -223,6 +223,17 @@ struct CodecOptions {
 /// on any host.
 [[nodiscard]] std::vector<std::uint8_t> Encode(const Message& msg,
                                                const CodecOptions& opts = {});
+/// The same for one alternative, without copying it into a Message.
+[[nodiscard]] std::vector<std::uint8_t> Encode(const OpenMessage& msg,
+                                               const CodecOptions& opts = {});
+[[nodiscard]] std::vector<std::uint8_t> Encode(const UpdateMessage& msg,
+                                               const CodecOptions& opts = {});
+[[nodiscard]] std::vector<std::uint8_t> Encode(const NotificationMessage& msg,
+                                               const CodecOptions& opts = {});
+[[nodiscard]] std::vector<std::uint8_t> Encode(const KeepaliveMessage& msg,
+                                               const CodecOptions& opts = {});
+[[nodiscard]] std::vector<std::uint8_t> Encode(const RouteRefreshMessage& msg,
+                                               const CodecOptions& opts = {});
 
 /// Decodes exactly one whole message from `data` (must contain exactly one).
 [[nodiscard]] util::Result<Message> Decode(std::span<const std::uint8_t> data,

@@ -18,7 +18,7 @@
 // caller's attributes (a received UPDATE's, shared by every receiver of a
 // fan-out) and interns them, copying only on a pool miss; for_each() and
 // visit_prefix() hand out views of the stored, interned attributes. The
-// owned BasicRoute is for fixtures, snapshot() and best().
+// owned BasicRoute is for fixtures, snapshot() and best()'s one copy.
 #pragma once
 
 #include <cstdint>
@@ -301,13 +301,19 @@ class BasicRib {
     }
   }
 
-  /// Best path for the prefix per BetterPath, if any path exists.
+  /// Best path for the prefix per BetterPath, if any path exists. Chosen over
+  /// views; only the winner is copied.
   [[nodiscard]] std::optional<RouteT> best(const PrefixT& prefix) const {
-    std::optional<RouteT> best_route;
-    for (const auto& r : routes_for(prefix)) {
-      if (!best_route || BetterPath(r, *best_route)) best_route = r;
+    const auto view = [](const auto& it) {
+      return View{it->first.prefix, it->first.peer, it->first.path_id, *it->second};
+    };
+    auto winner = routes_.end();
+    for (auto it = routes_.lower_bound(Key{prefix, 0, 0});
+         it != routes_.end() && it->first.prefix == prefix; ++it) {
+      if (winner == routes_.end() || BetterPath(view(it), view(winner))) winner = it;
     }
-    return best_route;
+    if (winner == routes_.end()) return std::nullopt;
+    return RouteT{winner->first.prefix, winner->first.peer, winner->first.path_id, *winner->second};
   }
 
   /// All distinct prefixes.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace stellar::bgp {
 
@@ -42,6 +43,12 @@ const FramePtr& SharedUpdate::frame(const CodecOptions& codec) {
 // Endpoint / Link.
 
 void Endpoint::send(FramePtr frame) {
+  if (session_ != nullptr) session_->make_upkeep_real();
+  transmit(std::move(frame));
+}
+
+void Endpoint::transmit(FramePtr frame) {
+  sent_ = true;
   auto peer = peer_.lock();
   if (closed_ || !peer || peer->closed_) {
     sends_after_close_.inc();
@@ -59,7 +66,11 @@ void Endpoint::send(FramePtr frame) {
     }
     frame = std::make_shared<const Frame>(std::move(bytes));
   }
-  queue_->schedule_after(delay, [self = self_, peer, frame = std::move(frame)] {
+  deliver_at(queue_->now() + delay, std::move(peer), std::move(frame));
+}
+
+void Endpoint::deliver_at(sim::SimTime at, std::shared_ptr<Endpoint> peer, FramePtr frame) {
+  queue_->schedule_at(at, [self = self_, peer = std::move(peer), frame = std::move(frame)] {
     if (peer->closed_ || !peer->on_receive_) {
       // Closed while the bytes were in flight: account them as lost.
       if (auto s = self.lock()) s->dropped_bytes_.inc(frame->bytes().size());
@@ -73,8 +84,19 @@ void Endpoint::send(std::vector<std::uint8_t> bytes) {
   send(std::make_shared<const Frame>(std::move(bytes)));
 }
 
+void Endpoint::set_fault_filter(FaultFilter f) {
+  // Whether a link's sessions may keep it alive lazily is settled once both
+  // are Established, so a filter that comes later would see no keepalives.
+  const auto peer = peer_.lock();
+  if (sent_ || (peer && peer->sent_)) {
+    throw std::logic_error("fault filter set after the link's first send");
+  }
+  fault_filter_ = std::move(f);
+}
+
 void Endpoint::close() {
   if (closed_) return;
+  if (session_ != nullptr) session_->make_upkeep_real();
   closed_ = true;
   if (auto peer = peer_.lock()) {
     queue_->schedule_after(latency_, [peer] {
@@ -125,18 +147,27 @@ std::string_view ToString(SessionState s) {
   return "?";
 }
 
+template <typename M>
+void Session::send(const M& msg, const CodecOptions& codec) {
+  transport_->transmit(std::make_shared<const Frame>(Encode(msg, codec)));
+}
+
 Session::Session(sim::EventQueue& queue, std::shared_ptr<Endpoint> transport,
                  SessionConfig config)
     : queue_(queue), transport_(std::move(transport)), config_(config) {
+  transport_->session_ = this;
   transport_->set_receive_handler([this](const Frame& frame) { on_frame(frame); });
   transport_->set_close_handler([this] { on_transport_closed(); });
 }
 
 Session::~Session() {
+  // A silent death: the peer's hold timer must run from here on.
+  make_upkeep_real();
   // Detach transport callbacks: the endpoint may outlive us inside queued
   // link-latency events.
   transport_->set_receive_handler(nullptr);
   transport_->set_close_handler(nullptr);
+  transport_->session_ = nullptr;
 }
 
 void Session::start() {
@@ -172,7 +203,7 @@ void Session::announce(SharedUpdate& update) {
     return;
   }
   ++updates_sent_;
-  transport_->send(update.frame(tx_codec_));
+  transport_->transmit(update.frame(tx_codec_));
   arm_keepalive_timer();  // Any message defers the next keepalive.
 }
 
@@ -185,6 +216,7 @@ void Session::request_route_refresh(std::uint16_t afi, std::uint8_t safi) {
 
 void Session::stop(std::uint8_t cease_subcode) {
   if (state_ == SessionState::kClosed) return;
+  make_upkeep_real();  // Keepalives in flight go before the NOTIFICATION.
   NotificationMessage n;
   n.code = NotificationCode::kCease;
   n.subcode = cease_subcode;
@@ -215,7 +247,12 @@ void Session::on_bytes(std::span<const std::uint8_t> bytes) {
       fail(NotificationCode::kMessageHeaderError, 0, framed.error().message);
       return;
     }
-    if (!framed->message) return;  // Incomplete: wait for more bytes.
+    if (!framed->message) {
+      // Incomplete: wait for more bytes, which keepalives may complete. (Bytes
+      // sent from outside just before the link went lazy end up here.)
+      if (!rx_buffer_.empty()) make_upkeep_real();
+      return;
+    }
     rx_buffer_.erase(rx_buffer_.begin(),
                      rx_buffer_.begin() + static_cast<std::ptrdiff_t>(framed->consumed));
     arm_hold_timer();
@@ -299,6 +336,7 @@ void Session::handle_open(const OpenMessage& open) {
 
 void Session::enter_established() {
   set_state(SessionState::kEstablished);
+  start_lazy_upkeep();
   arm_keepalive_timer();
   arm_hold_timer();
   while (!pending_.empty() && state_ == SessionState::kEstablished) {
@@ -309,14 +347,11 @@ void Session::enter_established() {
   }
 }
 
-void Session::send(const Message& msg, const CodecOptions& codec) {
-  transport_->send(Encode(msg, codec));
-}
-
-void Session::send_keepalive() { transport_->send(KeepaliveFrame()); }
+void Session::send_keepalive() { transport_->transmit(KeepaliveFrame()); }
 
 void Session::fail(NotificationCode code, std::uint8_t subcode, const std::string& why) {
   (void)why;  // Kept for debuggability via a breakpoint; not logged by default.
+  make_upkeep_real();
   NotificationMessage n;
   n.code = code;
   n.subcode = subcode;
@@ -329,6 +364,7 @@ void Session::set_state(SessionState s) {
   if (state_ == s) return;
   state_ = s;
   if (s == SessionState::kClosed) {
+    assert(lazy_peer_ == nullptr);  // Every way to Closed makes upkeep real first.
     hold_timer_.cancel();
     keepalive_timer_.cancel();
   }
@@ -337,12 +373,82 @@ void Session::set_state(SessionState s) {
 
 void Session::arm_hold_timer() {
   if (hold_time_s_ == 0) return;
-  hold_timer_.arm_after(sim::Seconds(hold_time_s_));
+  hold_from_ = queue_.now();
+  if (lazy_peer_ == nullptr) hold_timer_.arm_at(hold_from_ + sim::Seconds(hold_time_s_));
 }
 
 void Session::arm_keepalive_timer() {
   if (hold_time_s_ == 0) return;
-  keepalive_timer_.arm_after(sim::Seconds(hold_time_s_ / 3.0));
+  if (lazy_peer_ != nullptr) advance_keepalives();
+  next_keepalive_ = queue_.now() + keepalive_interval();
+  keepalive_anchor_ = queue_.next_seq();
+  if (lazy_peer_ == nullptr) keepalive_timer_.arm_at(next_keepalive_);
+}
+
+// ---------------------------------------------------------------------------
+// Lazy upkeep (see the header comment).
+
+std::uint64_t Session::keepalives_received() const {
+  if (lazy_peer_ != nullptr) lazy_peer_->advance_keepalives();
+  return keepalives_received_;
+}
+
+void Session::start_lazy_upkeep() {
+  if (state_ != SessionState::kEstablished || hold_time_s_ == 0 || !rx_buffer_.empty()) return;
+  const std::shared_ptr<Endpoint> peer_end = transport_->peer_.lock();
+  if (!peer_end || peer_end->session_ == nullptr) return;
+  Session& peer = *peer_end->session_;
+  const auto quiet = [this](const Endpoint& end) {
+    return !end.closed_ && !end.fault_filter_ && end.latency_ < keepalive_interval();
+  };
+  if (peer.state_ != SessionState::kEstablished || peer.hold_time_s_ != hold_time_s_ ||
+      !peer.rx_buffer_.empty() || !quiet(*transport_) || !quiet(*peer_end)) {
+    return;
+  }
+  assert(lazy_peer_ == nullptr && peer.lazy_peer_ == nullptr);
+  // This side's schedule starts now, so the arm_keepalive_timer() that
+  // follows finds nothing due; the peer's keeps the instants its timers were
+  // armed for.
+  next_keepalive_ = queue_.now() + keepalive_interval();
+  lazy_peer_ = &peer;
+  peer.lazy_peer_ = this;
+  for (Session* side : {this, &peer}) {
+    side->keepalive_timer_.cancel();
+    side->hold_timer_.cancel();
+  }
+}
+
+void Session::advance_keepalives() {
+  const sim::SimTime now = queue_.now();
+  while (next_keepalive_ <= now) {
+    keepalives_in_flight_.push_back(next_keepalive_ + transport_->latency_);
+    next_keepalive_ += keepalive_interval();
+  }
+  auto arrived = keepalives_in_flight_.begin();
+  for (; arrived != keepalives_in_flight_.end() && *arrived <= now; ++arrived) {
+    ++lazy_peer_->keepalives_received_;
+    lazy_peer_->hold_from_ = std::max(lazy_peer_->hold_from_, *arrived);
+  }
+  keepalives_in_flight_.erase(keepalives_in_flight_.begin(), arrived);
+}
+
+void Session::make_upkeep_real() {
+  if (lazy_peer_ == nullptr) return;
+  // The side anchored earlier goes first, as its timer would at a shared
+  // instant.
+  Session* sides[] = {this, lazy_peer_};
+  if (sides[1]->keepalive_anchor_ < sides[0]->keepalive_anchor_) std::swap(sides[0], sides[1]);
+  for (Session* side : sides) side->advance_keepalives();
+  for (Session* side : sides) {
+    const std::shared_ptr<Endpoint> peer_end = side->transport_->peer_.lock();
+    for (const sim::SimTime at : side->keepalives_in_flight_) {
+      side->transport_->deliver_at(at, peer_end, KeepaliveFrame());
+    }
+    side->keepalives_in_flight_.clear();
+    side->lazy_peer_ = nullptr;
+    side->keepalive_timer_.arm_at(side->next_keepalive_);
+    side->hold_timer_.arm_at(side->hold_from_ + sim::Seconds(side->hold_time_s_));
+  }
 }
 
 }  // namespace stellar::bgp

@@ -26,6 +26,43 @@
 //     changes the bytes another peer receives.
 //   - KEEPALIVE is the same 19 bytes under every codec: one frame per
 //     process, decoded once per codec.
+//
+// Lazy upkeep. Once both sessions of a link without a fault filter are
+// Established, keeping the link alive costs nothing: neither side queues a
+// keepalive timer event or sends a KEEPALIVE frame, and neither arms its hold
+// timer, for keepalives or for real messages. Each side keeps two instants:
+// when its next keepalive is due (re-anchored at establishment and by every
+// UPDATE or ROUTE-REFRESH it sends) and when its hold timer was last armed.
+// The keepalives the timers would send follow from them with the timers' own
+// double sums: due at t, the next at t + hold/3, arriving at t + latency.
+// They keep the peer's hold timer from ever expiring, because the link's
+// latency is below hold/3 (a slower link keeps its timers).
+// The virtual keepalives become real state only where they can be seen:
+//   - keepalives_received() counts those arrived by now();
+//   - before either side closes (stop(), a failure, a NOTIFICATION received,
+//     Endpoint::close() from outside), before either Session is destroyed,
+//     before bytes from outside the sessions enter the link, and when a
+//     partial message is left in an rx buffer (keepalives would complete
+//     it), the link turns eager for good. Keepalives in flight become delivery events, each
+//     keepalive timer is armed at its next due instant and each hold timer
+//     at (last arrival) + hold. So keepalives in flight at a close are
+//     dropped or counted as sends after close, and a Session destroyed
+//     without closing its transport expires the survivor's hold timer, as
+//     with the timers running all along.
+// Endpoint::Stats need no such step: no keepalive can be lost while both
+// ends are open and both sessions alive.
+// Tie rule. A virtual keepalive due at the current instant counts as sent
+// (and, at its arrival instant, as received) before any other event or call
+// at that instant. The events made real when a link turns eager are queued
+// then, behind events already queued for their instants; of the two
+// keepalive timers, the one anchored earlier is armed first, as the timers
+// would order them. The timers order by sequence number instead, so the two
+// differ only for an event queued more than hold/3 (for a send) or more than
+// the latency (for an arrival) before the instant it lands on exactly, or
+// queued between a virtual keepalive and the trigger for the instant a
+// made-real event lands on.
+// A fault filter must be set before the link's first send; a link with one
+// keeps its timers and KEEPALIVE frames.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +81,8 @@
 #include "sim/event_queue.hpp"
 
 namespace stellar::bgp {
+
+class Session;
 
 /// One encoded BGP message (or any byte string a test sends) as it crosses a
 /// link: immutable, so any number of peers may receive the same frame.
@@ -98,21 +137,25 @@ class Endpoint {
   /// Per-message fault hook (see sim/fault.hpp): may mutate the bytes
   /// (corruption) or add extra one-way delay; returning false drops the
   /// message entirely. Called once per send() on an open link, on a private
-  /// copy of the frame's bytes.
+  /// copy of the frame's bytes. Set it before the link's first send.
   using FaultFilter = std::function<bool(std::vector<std::uint8_t>& bytes,
                                          sim::Duration& extra_delay)>;
 
   /// Sends a frame to the peer endpoint; it arrives after the link latency.
-  /// On a closed link (either side) this is a counted no-op.
+  /// On a closed link (either side) this is a counted no-op. Bytes sent from
+  /// outside the sessions turn a link with lazy upkeep eager first (see
+  /// Session).
   void send(FramePtr frame);
   void send(std::vector<std::uint8_t> bytes);
   /// Closes both directions; the peer's close handler fires after latency.
+  /// A link with lazy upkeep turns eager first (see Session).
   void close();
   [[nodiscard]] bool closed() const { return closed_; }
 
   void set_receive_handler(ReceiveHandler h) { on_receive_ = std::move(h); }
   void set_close_handler(CloseHandler h) { on_close_ = std::move(h); }
-  void set_fault_filter(FaultFilter f) { fault_filter_ = std::move(f); }
+  /// Throws std::logic_error once either end of the link has sent.
+  void set_fault_filter(FaultFilter f);
 
   struct Stats {
     /// send() calls attempted after this side closed or the peer was
@@ -134,6 +177,12 @@ class Endpoint {
  private:
   friend std::pair<std::shared_ptr<Endpoint>, std::shared_ptr<Endpoint>> MakeLink(
       sim::EventQueue& queue, sim::Duration latency);
+  friend class Session;
+
+  /// send() without the lazy-upkeep check: a session's own messages.
+  void transmit(FramePtr frame);
+  /// Queues the arrival of `frame` at `peer` at instant `at`.
+  void deliver_at(sim::SimTime at, std::shared_ptr<Endpoint> peer, FramePtr frame);
 
   sim::EventQueue* queue_ = nullptr;
   sim::Duration latency_{0.0};
@@ -142,6 +191,8 @@ class Endpoint {
   ReceiveHandler on_receive_;
   CloseHandler on_close_;
   FaultFilter fault_filter_;
+  Session* session_ = nullptr;  ///< The session on this endpoint, if any.
+  bool sent_ = false;           ///< This end has sent (or tried to).
   bool closed_ = false;
   obs::Counter sends_after_close_ = obs::registry().counter("bgp.endpoint.sends_after_close");
   obs::Counter dropped_bytes_ = obs::registry().counter("bgp.endpoint.dropped_bytes");
@@ -231,21 +282,35 @@ class Session {
   // Introspection counters (looking-glass / tests).
   [[nodiscard]] std::uint64_t updates_sent() const { return updates_sent_; }
   [[nodiscard]] std::uint64_t updates_received() const { return updates_received_; }
-  [[nodiscard]] std::uint64_t keepalives_received() const { return keepalives_received_; }
+  /// Virtual keepalives count once arrived (see "Lazy upkeep" above).
+  [[nodiscard]] std::uint64_t keepalives_received() const;
 
  private:
+  friend class Endpoint;  // close() and send() make upkeep real.
+
   void on_frame(const Frame& frame);
   void on_bytes(std::span<const std::uint8_t> bytes);
   void on_transport_closed();
   void handle_message(const Message& msg);
   void handle_open(const OpenMessage& open);
   void enter_established();
-  void send(const Message& msg, const CodecOptions& codec);
+  template <typename M>
+  void send(const M& msg, const CodecOptions& codec);
   void send_keepalive();
   void fail(NotificationCode code, std::uint8_t subcode, const std::string& why);
   void set_state(SessionState s);
   void arm_hold_timer();
   void arm_keepalive_timer();
+  [[nodiscard]] sim::Duration keepalive_interval() const {
+    return sim::Seconds(hold_time_s_ / 3.0);
+  }
+  /// Goes lazy if the peer session is Established too and the link allows.
+  void start_lazy_upkeep();
+  /// Sender side of lazy upkeep: sends the virtual keepalives due by now()
+  /// and delivers those arrived by now() to the peer.
+  void advance_keepalives();
+  /// Turns a lazy link eager (both sides); a no-op on an eager one.
+  void make_upkeep_real();
 
   sim::EventQueue& queue_;
   std::shared_ptr<Endpoint> transport_;
@@ -273,6 +338,19 @@ class Session {
     send_keepalive();
     arm_keepalive_timer();
   }};
+
+  /// When the keepalive timer is (or, lazily, would be) due.
+  sim::SimTime next_keepalive_{0.0};
+  /// The queue's next_seq() when that schedule was last anchored by a real
+  /// arm or send: of two keepalives due at one instant, the timers send the
+  /// one anchored earlier first.
+  std::uint64_t keepalive_anchor_ = 0;
+  /// When the hold timer was (or, lazily, would have been) last armed.
+  sim::SimTime hold_from_{0.0};
+  /// Lazy upkeep: the peer's session; null while the timers run.
+  Session* lazy_peer_ = nullptr;
+  /// Lazy upkeep: arrival instants of virtual keepalives in flight.
+  std::vector<sim::SimTime> keepalives_in_flight_;
 
   std::uint64_t updates_sent_ = 0;
   std::uint64_t updates_received_ = 0;

@@ -33,9 +33,9 @@ void EventQueue::run() {
   while (!heap_.empty()) dispatch_next();
 }
 
-void Timer::arm_after(Duration delay) {
+void Timer::arm_at(SimTime at) {
   State& s = *state_;
-  s.deadline = std::max(s.queue.now_ + delay, s.queue.now_);
+  s.deadline = std::max(at, s.queue.now_);
   s.seq = s.queue.next_seq_++;
   s.armed = true;
   if (s.posted_at > s.deadline) post(state_);

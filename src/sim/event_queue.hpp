@@ -46,6 +46,9 @@ class EventQueue {
   void run();
 
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  /// The sequence number the next event or timer arm takes: compares moments
+  /// within one instant.
+  [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
 
  private:
   friend class Timer;
@@ -73,12 +76,13 @@ class EventQueue {
 };
 
 /// A re-armable one-shot deadline: the callback runs once, at the last
-/// deadline arm_after() set, unless cancel() comes first. A re-arm queues
-/// nothing while the timer's event is due at or before the new deadline; that
-/// event, when it comes up early, re-posts itself. Each arm takes one sequence
-/// number, as schedule_after() does, and the callback runs at exactly that
-/// (deadline, seq) key, so no other event moves. The state is shared with the
-/// queued event: the owner may die (the destructor cancels) before it runs.
+/// deadline arm_at() or arm_after() set, unless cancel() comes first. A
+/// re-arm queues nothing while the timer's event is due at or before the new
+/// deadline; that event, when it comes up early, re-posts itself. Each arm
+/// takes one sequence number, as schedule_after() does, and the callback runs
+/// at exactly that (deadline, seq) key, so no other event moves. The state is
+/// shared with the queued event: the owner may die (the destructor cancels)
+/// before it runs.
 class Timer {
  public:
   Timer(EventQueue& queue, EventQueue::Callback cb)
@@ -87,10 +91,12 @@ class Timer {
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
+  /// Sets the deadline to `at` (clamped to now()).
+  void arm_at(SimTime at);
   /// Sets the deadline to now() + `delay` (clamped to now()).
-  void arm_after(Duration delay);
+  void arm_after(Duration delay) { arm_at(state_->queue.now() + delay); }
   void cancel() { state_->armed = false; }
-  /// True from arm_after() until the callback starts or cancel().
+  /// True from an arm until the callback starts or cancel().
   [[nodiscard]] bool armed() const { return state_->armed; }
 
  private:

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "bgp/intern.hpp"
+#include "util/rng.hpp"
 
 namespace stellar::bgp {
 namespace {
@@ -116,6 +120,45 @@ TEST(RibTest, BestSelectsByDecisionProcess) {
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->peer, 2u);
   EXPECT_FALSE(rib.best(P4("1.0.0.0/8")).has_value());
+}
+
+/// best() as it was: a copy of every path, then copy-assign the winner.
+std::optional<Route> BestByCopies(const Rib& rib, const net::Prefix4& prefix) {
+  std::optional<Route> best_route;
+  for (const auto& r : rib.routes_for(prefix)) {
+    if (!best_route || BetterPath(r, *best_route)) best_route = r;
+  }
+  return best_route;
+}
+
+TEST(RibTest, BestMatchesTheCopyingSelection) {
+  // Few attribute values, peers and path-ids: equal attributes from
+  // different peers and path-ids are common, so the tie rule is exercised.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    Rib rib;
+    const std::vector<net::Prefix4> prefixes = {P4("60.1.0.0/20"), P4("60.2.0.0/20"),
+                                                P4("60.2.0.0/24"), P4("60.3.0.0/20")};
+    for (int i = 0; i < 200; ++i) {
+      const auto& prefix = prefixes[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+      Route r = MakeRoute("0.0.0.0/0", static_cast<PeerId>(rng.uniform_int(1, 4)),
+                          static_cast<PathId>(rng.uniform_int(0, 2)),
+                          static_cast<Asn>(65001 + rng.uniform_int(0, 1)));
+      r.prefix = prefix;
+      if (rng.chance(0.5)) r.attrs.local_pref = rng.chance(0.5) ? 100 : 200;
+      if (rng.chance(0.3)) r.attrs.as_path.front().asns.push_back(65009);
+      if (rng.chance(0.3)) r.attrs.med = static_cast<std::uint32_t>(rng.uniform_int(0, 1));
+      if (rng.chance(0.2)) r.attrs.origin = Origin::kEgp;
+      if (rng.chance(0.15)) {
+        rib.withdraw(r.prefix, r.peer, r.path_id);
+      } else {
+        rib.insert(r);
+      }
+      for (const auto& p : prefixes) {
+        ASSERT_EQ(rib.best(p), BestByCopies(rib, p)) << "seed " << seed << " step " << i;
+      }
+    }
+  }
 }
 
 TEST(RibTest, PrefixesAreDistinctAndSorted) {

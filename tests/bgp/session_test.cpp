@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 namespace stellar::bgp {
 namespace {
 
@@ -35,6 +38,50 @@ SessionConfig Cfg(Asn asn, std::uint8_t id) {
   c.router_id = net::IPv4Address(10, 0, 0, id);
   return c;
 }
+
+/// Gives every link created while alive a pass-through fault filter, so its
+/// sessions run their keepalive and hold timers instead of lazy upkeep.
+class PassThroughFilters {
+ public:
+  PassThroughFilters() {
+    previous_ = SetLinkHook(
+        [](const std::shared_ptr<Endpoint>& a, const std::shared_ptr<Endpoint>& b) {
+          const auto pass = [](std::vector<std::uint8_t>&, sim::Duration&) { return true; };
+          a->set_fault_filter(pass);
+          b->set_fault_filter(pass);
+        });
+  }
+  ~PassThroughFilters() { SetLinkHook(std::move(previous_)); }
+  PassThroughFilters(const PassThroughFilters&) = delete;
+  PassThroughFilters& operator=(const PassThroughFilters&) = delete;
+
+ private:
+  LinkHook previous_;
+};
+
+/// Runs a case on both kinds of link: clean (lazy upkeep) and filtered (the
+/// timers and KEEPALIVE frames).
+class LinkKindTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (GetParam()) filters_.emplace();
+  }
+  void TearDown() override { filters_.reset(); }
+
+ private:
+  std::optional<PassThroughFilters> filters_;
+};
+
+std::string LinkKindName(const ::testing::TestParamInfo<bool>& info) {
+  return info.param ? "Filtered" : "Clean";
+}
+
+class SessionTest : public LinkKindTest {};
+class SessionTimerTest : public LinkKindTest {};
+class EndpointTest : public LinkKindTest {};
+INSTANTIATE_TEST_SUITE_P(Links, SessionTest, ::testing::Bool(), LinkKindName);
+INSTANTIATE_TEST_SUITE_P(Links, SessionTimerTest, ::testing::Bool(), LinkKindName);
+INSTANTIATE_TEST_SUITE_P(Links, EndpointTest, ::testing::Bool(), LinkKindName);
 
 TEST(SessionTest, EstablishesViaOpenKeepalive) {
   SessionPair pair(Cfg(65001, 1), Cfg(65002, 2));
@@ -124,7 +171,7 @@ TEST(SessionTest, AddPathNotNegotiatedWithoutBothSides) {
   EXPECT_FALSE(pair.a->add_path_tx_negotiated());
 }
 
-TEST(SessionTest, KeepalivesKeepSessionAlive) {
+TEST_P(SessionTest, KeepalivesKeepSessionAlive) {
   SessionConfig ca = Cfg(65001, 1);
   ca.hold_time_s = 9;
   SessionConfig cb = Cfg(65002, 2);
@@ -164,7 +211,7 @@ TEST(SessionTest, RouteRefreshNotSentBeforeEstablished) {
   EXPECT_TRUE(received.empty());
 }
 
-TEST(SessionTest, StopSendsCeaseAndCloses) {
+TEST_P(SessionTest, StopSendsCeaseAndCloses) {
   SessionPair pair(Cfg(65001, 1), Cfg(65002, 2));
   pair.establish();
   pair.a->stop();
@@ -173,7 +220,7 @@ TEST(SessionTest, StopSendsCeaseAndCloses) {
   EXPECT_EQ(pair.b->state(), SessionState::kClosed);
 }
 
-TEST(SessionTest, HoldTimerExpiryClosesSilentSession) {
+TEST_P(SessionTest, HoldTimerExpiryClosesSilentSession) {
   SessionConfig ca = Cfg(65001, 1);
   ca.hold_time_s = 9;
   SessionConfig cb = Cfg(65002, 2);
@@ -316,7 +363,7 @@ TEST(EndpointTest, SendToGonePeerIsCounted) {
   EXPECT_EQ(ea->stats().dropped_bytes, 4u);
 }
 
-TEST(EndpointTest, InFlightBytesDroppedOnPeerCloseAreCounted) {
+TEST_P(EndpointTest, InFlightBytesDroppedOnPeerCloseAreCounted) {
   sim::EventQueue queue;
   auto [ea, eb] = MakeLink(queue);
   int received = 0;
@@ -331,7 +378,7 @@ TEST(EndpointTest, InFlightBytesDroppedOnPeerCloseAreCounted) {
 
 // ---- BGP timer edge cases (keepalive cadence, zero hold time, boundary) ----
 
-TEST(SessionTimerTest, KeepaliveCadenceIsOneThirdOfHoldTime) {
+TEST_P(SessionTimerTest, KeepaliveCadenceIsOneThirdOfHoldTime) {
   SessionConfig ca = Cfg(65001, 1);
   ca.hold_time_s = 9;  // Keepalive interval: 3 s.
   SessionConfig cb = Cfg(65002, 2);
@@ -346,7 +393,7 @@ TEST(SessionTimerTest, KeepaliveCadenceIsOneThirdOfHoldTime) {
   EXPECT_LE(received, 11u);
 }
 
-TEST(SessionTimerTest, ZeroHoldTimeDisablesTimers) {
+TEST_P(SessionTimerTest, ZeroHoldTimeDisablesTimers) {
   SessionConfig ca = Cfg(65001, 1);
   ca.hold_time_s = 0;
   SessionConfig cb = Cfg(65002, 2);
@@ -364,6 +411,32 @@ TEST(SessionTimerTest, ZeroHoldTimeDisablesTimers) {
   EXPECT_TRUE(a.established());
   // Only the establishing keepalive: no periodic ones with timers disabled.
   EXPECT_LE(a.keepalives_received(), 1u);
+}
+
+TEST(SessionTimerTest, IdleCleanLinkQueuesNoUpkeepEvents) {
+  SessionConfig ca = Cfg(65001, 1);
+  ca.hold_time_s = 9;
+  SessionConfig cb = Cfg(65002, 2);
+  cb.hold_time_s = 9;
+  std::uint64_t filtered_a = 0;
+  std::uint64_t filtered_b = 0;
+  {
+    PassThroughFilters filters;
+    SessionPair filtered(ca, cb);
+    filtered.establish();
+    filtered.queue.run_until(filtered.queue.now() + sim::Seconds(900.0));
+    filtered_a = filtered.a->keepalives_received();
+    filtered_b = filtered.b->keepalives_received();
+  }
+  SessionPair clean(ca, cb);
+  clean.establish();
+  clean.queue.run_until(clean.queue.now() + sim::Seconds(900.0));  // 100 hold periods.
+  EXPECT_EQ(clean.queue.pending(), 0u);
+  EXPECT_TRUE(clean.a->established());
+  EXPECT_TRUE(clean.b->established());
+  EXPECT_GT(filtered_a, 300u);
+  EXPECT_EQ(clean.a->keepalives_received(), filtered_a);
+  EXPECT_EQ(clean.b->keepalives_received(), filtered_b);
 }
 
 // Drives the peer side of a session by hand so the test controls exactly

@@ -64,3 +64,9 @@ done
 # from borrowed views of the stored routes, and the route server inserts views
 # of the received attributes, so ASan catches a view that outlives its route.
 "$BUILD_DIR"/bench/ablation_addpath
+
+# Lazy-upkeep smoke test: fig2c keeps 121 members on clean links for an hour
+# of sim time (about 120 keepalive periods each) and destroys the live
+# sessions at exit, where each link's virtual keepalives are made real; ASan
+# catches an upkeep read of a peer session that is already gone.
+"$BUILD_DIR"/bench/fig2c_collateral
