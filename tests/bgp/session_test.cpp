@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
-#include <string>
-
 namespace stellar::bgp {
 namespace {
 
@@ -59,29 +56,17 @@ class PassThroughFilters {
   LinkHook previous_;
 };
 
-/// Runs a case on both kinds of link: clean (lazy upkeep) and filtered (the
-/// timers and KEEPALIVE frames).
-class LinkKindTest : public ::testing::TestWithParam<bool> {
- protected:
-  void SetUp() override {
-    if (GetParam()) filters_.emplace();
-  }
-  void TearDown() override { filters_.reset(); }
-
- private:
-  std::optional<PassThroughFilters> filters_;
-};
-
-std::string LinkKindName(const ::testing::TestParamInfo<bool>& info) {
-  return info.param ? "Filtered" : "Clean";
-}
-
-class SessionTest : public LinkKindTest {};
-class SessionTimerTest : public LinkKindTest {};
-class EndpointTest : public LinkKindTest {};
-INSTANTIATE_TEST_SUITE_P(Links, SessionTest, ::testing::Bool(), LinkKindName);
-INSTANTIATE_TEST_SUITE_P(Links, SessionTimerTest, ::testing::Bool(), LinkKindName);
-INSTANTIATE_TEST_SUITE_P(Links, EndpointTest, ::testing::Bool(), LinkKindName);
+/// Runs a case on both kinds of link: as `Suite.Name` on a clean link (lazy
+/// upkeep) and as `SuiteOnFilteredLink.Name` with pass-through filters (the
+/// timers and KEEPALIVE frames). The body follows the macro like a TEST body.
+#define LINK_KIND_TEST(Suite, Name)                  \
+  void Name##Body();                                 \
+  TEST(Suite, Name) { Name##Body(); }                \
+  TEST(Suite##OnFilteredLink, Name) {                \
+    PassThroughFilters filters;                      \
+    Name##Body();                                    \
+  }                                                  \
+  void Name##Body()
 
 TEST(SessionTest, EstablishesViaOpenKeepalive) {
   SessionPair pair(Cfg(65001, 1), Cfg(65002, 2));
@@ -171,7 +156,7 @@ TEST(SessionTest, AddPathNotNegotiatedWithoutBothSides) {
   EXPECT_FALSE(pair.a->add_path_tx_negotiated());
 }
 
-TEST_P(SessionTest, KeepalivesKeepSessionAlive) {
+LINK_KIND_TEST(SessionTest, KeepalivesKeepSessionAlive) {
   SessionConfig ca = Cfg(65001, 1);
   ca.hold_time_s = 9;
   SessionConfig cb = Cfg(65002, 2);
@@ -211,7 +196,7 @@ TEST(SessionTest, RouteRefreshNotSentBeforeEstablished) {
   EXPECT_TRUE(received.empty());
 }
 
-TEST_P(SessionTest, StopSendsCeaseAndCloses) {
+LINK_KIND_TEST(SessionTest, StopSendsCeaseAndCloses) {
   SessionPair pair(Cfg(65001, 1), Cfg(65002, 2));
   pair.establish();
   pair.a->stop();
@@ -220,7 +205,7 @@ TEST_P(SessionTest, StopSendsCeaseAndCloses) {
   EXPECT_EQ(pair.b->state(), SessionState::kClosed);
 }
 
-TEST_P(SessionTest, HoldTimerExpiryClosesSilentSession) {
+LINK_KIND_TEST(SessionTest, HoldTimerExpiryClosesSilentSession) {
   SessionConfig ca = Cfg(65001, 1);
   ca.hold_time_s = 9;
   SessionConfig cb = Cfg(65002, 2);
@@ -363,7 +348,7 @@ TEST(EndpointTest, SendToGonePeerIsCounted) {
   EXPECT_EQ(ea->stats().dropped_bytes, 4u);
 }
 
-TEST_P(EndpointTest, InFlightBytesDroppedOnPeerCloseAreCounted) {
+LINK_KIND_TEST(EndpointTest, InFlightBytesDroppedOnPeerCloseAreCounted) {
   sim::EventQueue queue;
   auto [ea, eb] = MakeLink(queue);
   int received = 0;
@@ -378,7 +363,7 @@ TEST_P(EndpointTest, InFlightBytesDroppedOnPeerCloseAreCounted) {
 
 // ---- BGP timer edge cases (keepalive cadence, zero hold time, boundary) ----
 
-TEST_P(SessionTimerTest, KeepaliveCadenceIsOneThirdOfHoldTime) {
+LINK_KIND_TEST(SessionTimerTest, KeepaliveCadenceIsOneThirdOfHoldTime) {
   SessionConfig ca = Cfg(65001, 1);
   ca.hold_time_s = 9;  // Keepalive interval: 3 s.
   SessionConfig cb = Cfg(65002, 2);
@@ -393,7 +378,7 @@ TEST_P(SessionTimerTest, KeepaliveCadenceIsOneThirdOfHoldTime) {
   EXPECT_LE(received, 11u);
 }
 
-TEST_P(SessionTimerTest, ZeroHoldTimeDisablesTimers) {
+LINK_KIND_TEST(SessionTimerTest, ZeroHoldTimeDisablesTimers) {
   SessionConfig ca = Cfg(65001, 1);
   ca.hold_time_s = 0;
   SessionConfig cb = Cfg(65002, 2);
@@ -538,6 +523,8 @@ TEST(SessionTimerTest, MessageTrafficKeepsOneEventPerTimer) {
   EXPECT_TRUE(pair.b->established());
   EXPECT_LE(pair.queue.pending(), 4u);  // Hold and keepalive, per side.
 }
+
+#undef LINK_KIND_TEST
 
 }  // namespace
 }  // namespace stellar::bgp
