@@ -111,26 +111,6 @@ void BM_RibInsertWithdraw(benchmark::State& state) {
 }
 BENCHMARK(BM_RibInsertWithdraw)->Arg(1'000)->Arg(100'000);
 
-void BM_RibSnapshotDiff(benchmark::State& state) {
-  const auto routes = static_cast<std::uint32_t>(state.range(0));
-  bgp::Rib rib;
-  bgp::PathAttributes attrs;
-  attrs.origin = bgp::Origin::kIgp;
-  attrs.next_hop = net::IPv4Address(10, 99, 1, 1);
-  for (std::uint32_t i = 0; i < routes; ++i) {
-    rib.insert(bgp::Route{net::Prefix4(net::IPv4Address((60u << 24) | (i << 8)), 24), 1, 0,
-                          attrs});
-  }
-  const auto before = rib.snapshot();
-  rib.withdraw(net::Prefix4(net::IPv4Address(60, 0, 1, 0), 24), 1, 0);
-  const auto after = rib.snapshot();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bgp::DiffSnapshots(before, after));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * routes));
-}
-BENCHMARK(BM_RibSnapshotDiff)->Arg(1'000)->Arg(10'000);
-
 // Rule-count sweep shared by the linear/indexed classify benchmarks: rules
 // bucketed by proto + single src port (the dominant Stellar rule shape), the
 // probe flow matching nothing — worst case for the linear scan.

@@ -1,12 +1,11 @@
-// Routing Information Base with ADD-PATH identity and snapshot diffing.
+// Routing Information Base with ADD-PATH identity.
 //
 // A route is identified by (prefix, peer, path_id): the route server keeps an
 // Adj-RIB-In per peer, while the blackholing controller keeps a single Rib
 // over its ADD-PATH iBGP session where multiple paths for the same prefix
-// coexist. DiffSnapshots() computes the route-level diff between two RIB
-// states (paper §4.4's snapshot diff); the controller does not call it, but
-// recomputes its desired rule set from the RIB instead (process_full() and
-// the per-epoch process_incremental()).
+// coexist. The controller recomputes its desired rule set from the RIB
+// (process_full() and the per-epoch process_incremental()) rather than
+// diffing snapshots of it (paper §4.4).
 //
 // The containers are generic over the prefix type: Rib/Route operate on IPv4
 // (the paper's dominant case, >98% of blackholed prefixes), Rib6/Route6 on
@@ -16,9 +15,10 @@
 //
 // Routes go in and come out borrowed: insert() takes a BasicRouteView of the
 // caller's attributes (a received UPDATE's, shared by every receiver of a
-// fan-out) and interns them, copying only on a pool miss; for_each() and
-// visit_prefix() hand out views of the stored, interned attributes. The
-// owned BasicRoute is for fixtures, snapshot() and best()'s one copy.
+// fan-out) and interns them, copying only on a pool miss; best(),
+// for_each() and visit_prefix() hand out views of the stored, interned
+// attributes, and find() shares them. No read copies a route out of a RIB;
+// the owned BasicRoute is a fixture type.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "bgp/intern.hpp"
@@ -169,12 +168,19 @@ struct BasicRouteView {
   PeerId peer = 0;
   PathId path_id = 0;
   const PathAttributes& attrs;
+
+  [[nodiscard]] std::string str() const {
+    std::string s = prefix.str() + " peer=" + std::to_string(peer);
+    if (path_id != 0) s += " path-id=" + std::to_string(path_id);
+    if (auto o = attrs.origin_asn()) s += " origin-as=" + std::to_string(*o);
+    return s;
+  }
 };
 
 using RouteView = BasicRouteView<net::Prefix4>;
 using RouteView6 = BasicRouteView<net::Prefix6>;
 
-/// An owned route: test fixtures, snapshots and best-path results.
+/// An owned route: a test fixture, inserted through its view.
 template <typename PrefixT>
 struct BasicRoute {
   PrefixT prefix;
@@ -186,13 +192,6 @@ struct BasicRoute {
 
   /// Borrows this route, e.g. to insert it into a RIB.
   operator BasicRouteView<PrefixT>() const { return {prefix, peer, path_id, attrs}; }
-
-  [[nodiscard]] std::string str() const {
-    std::string s = prefix.str() + " peer=" + std::to_string(peer);
-    if (path_id != 0) s += " path-id=" + std::to_string(path_id);
-    if (auto o = attrs.origin_asn()) s += " origin-as=" + std::to_string(*o);
-    return s;
-  }
 };
 
 using Route = BasicRoute<net::Prefix4>;
@@ -223,7 +222,6 @@ template <typename RouteA, typename RouteB>
 template <typename PrefixT>
 class BasicRib {
  public:
-  using RouteT = BasicRoute<PrefixT>;
   using View = BasicRouteView<PrefixT>;
 
   /// Inserts or replaces the route identified by (prefix, peer, path_id).
@@ -282,16 +280,6 @@ class BasicRib {
     return it == routes_.end() ? nullptr : it->second;
   }
 
-  /// All paths currently held for a prefix.
-  [[nodiscard]] std::vector<RouteT> routes_for(const PrefixT& prefix) const {
-    std::vector<RouteT> out;
-    for (auto it = routes_.lower_bound(Key{prefix, 0, 0});
-         it != routes_.end() && it->first.prefix == prefix; ++it) {
-      out.push_back(RouteT{it->first.prefix, it->first.peer, it->first.path_id, *it->second});
-    }
-    return out;
-  }
-
   /// Visits each path of `prefix` as a view (no attribute copies). Do not
   /// mutate the RIB from `fn`.
   void visit_prefix(const PrefixT& prefix, const std::function<void(const View&)>& fn) const {
@@ -301,19 +289,14 @@ class BasicRib {
     }
   }
 
-  /// Best path for the prefix per BetterPath, if any path exists. Chosen over
-  /// views; only the winner is copied.
-  [[nodiscard]] std::optional<RouteT> best(const PrefixT& prefix) const {
-    const auto view = [](const auto& it) {
-      return View{it->first.prefix, it->first.peer, it->first.path_id, *it->second};
-    };
-    auto winner = routes_.end();
-    for (auto it = routes_.lower_bound(Key{prefix, 0, 0});
-         it != routes_.end() && it->first.prefix == prefix; ++it) {
-      if (winner == routes_.end() || BetterPath(view(it), view(winner))) winner = it;
-    }
-    if (winner == routes_.end()) return std::nullopt;
-    return RouteT{winner->first.prefix, winner->first.peer, winner->first.path_id, *winner->second};
+  /// Best path for the prefix per BetterPath, if any path exists: a view of
+  /// the stored route, valid while the RIB is not mutated.
+  [[nodiscard]] std::optional<View> best(const PrefixT& prefix) const {
+    std::optional<View> winner;
+    visit_prefix(prefix, [&](const View& route) {
+      if (!winner || BetterPath(route, *winner)) winner.emplace(route);
+    });
+    return winner;
   }
 
   /// All distinct prefixes.
@@ -321,17 +304,6 @@ class BasicRib {
     std::vector<PrefixT> out;
     for (const auto& [key, attrs] : routes_) {
       if (out.empty() || !(out.back() == key.prefix)) out.push_back(key.prefix);
-    }
-    return out;
-  }
-
-  /// Every route, sorted by (prefix, peer, path_id). This is the snapshot
-  /// representation used for diffing.
-  [[nodiscard]] std::vector<RouteT> snapshot() const {
-    std::vector<RouteT> out;
-    out.reserve(routes_.size());
-    for (const auto& [key, attrs] : routes_) {
-      out.push_back(RouteT{key.prefix, key.peer, key.path_id, *attrs});
     }
     return out;
   }
@@ -358,47 +330,5 @@ class BasicRib {
 
 using Rib = BasicRib<net::Prefix4>;
 using Rib6 = BasicRib<net::Prefix6>;
-
-/// Difference between two RIB snapshots.
-template <typename PrefixT>
-struct BasicRibDiff {
-  std::vector<BasicRoute<PrefixT>> added;     ///< In `after` only.
-  std::vector<BasicRoute<PrefixT>> removed;   ///< In `before` only.
-  std::vector<BasicRoute<PrefixT>> modified;  ///< Same identity, new attributes.
-
-  [[nodiscard]] bool empty() const { return added.empty() && removed.empty() && modified.empty(); }
-  [[nodiscard]] std::size_t size() const { return added.size() + removed.size() + modified.size(); }
-};
-
-using RibDiff = BasicRibDiff<net::Prefix4>;
-
-/// Computes the diff between two snapshots (each sorted as produced by
-/// BasicRib::snapshot()).
-template <typename PrefixT>
-[[nodiscard]] BasicRibDiff<PrefixT> DiffSnapshots(const std::vector<BasicRoute<PrefixT>>& before,
-                                                  const std::vector<BasicRoute<PrefixT>>& after) {
-  BasicRibDiff<PrefixT> diff;
-  auto identity_less = [](const BasicRoute<PrefixT>& a, const BasicRoute<PrefixT>& b) {
-    return std::tie(a.prefix, a.peer, a.path_id) < std::tie(b.prefix, b.peer, b.path_id);
-  };
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < before.size() || j < after.size()) {
-    if (i == before.size()) {
-      diff.added.push_back(after[j++]);
-    } else if (j == after.size()) {
-      diff.removed.push_back(before[i++]);
-    } else if (identity_less(before[i], after[j])) {
-      diff.removed.push_back(before[i++]);
-    } else if (identity_less(after[j], before[i])) {
-      diff.added.push_back(after[j++]);
-    } else {
-      if (!(before[i].attrs == after[j].attrs)) diff.modified.push_back(after[j]);
-      ++i;
-      ++j;
-    }
-  }
-  return diff;
-}
 
 }  // namespace stellar::bgp

@@ -7,6 +7,14 @@
 
 namespace stellar::core {
 
+namespace {
+
+/// Settle time between a session re-establishment (with its ROUTE-REFRESH
+/// resync) and the automatic reconciliation audit.
+constexpr double kReconcileDelayS = 5.0;
+
+}  // namespace
+
 std::string ConfigChange::str() const {
   return std::string(op == Op::kInstall ? "install" : "remove") + " port " +
          std::to_string(port) + " " + rule.str();
@@ -67,7 +75,7 @@ void BlackholingController::init_session(TransportFactory factory,
   reconnector_->set_established_handler([this](bgp::Session& session) {
     if (reconnector_->stats().reconnects == 0) return;  // First dial: nothing to heal.
     session.request_route_refresh(bgp::kAfiIPv4);
-    queue_.schedule_after(sim::Seconds(config_.reconcile_delay_s),
+    queue_.schedule_after(sim::Seconds(kReconcileDelayS),
                           [this, alive = alive_] {
                             if (!*alive) return;
                             reconcile();

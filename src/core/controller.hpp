@@ -84,9 +84,6 @@ class BlackholingController {
     /// the ability to honor diverging rules for one prefix from different
     /// members (paper §4.3) — kept switchable for the ablation bench.
     bool use_add_path = true;
-    /// Settle time between a session re-establishment (with its ROUTE-REFRESH
-    /// resync) and the automatic reconciliation audit.
-    double reconcile_delay_s = 5.0;
   };
 
   /// `transport` is the endpoint returned by RouteServer::accept_controller().

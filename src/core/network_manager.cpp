@@ -8,6 +8,14 @@
 
 namespace stellar::core {
 
+namespace {
+
+/// Retry backoff growth per attempt, and its ceiling.
+constexpr double kRetryBackoffMultiplier = 2.0;
+constexpr double kRetryBackoffMaxS = 30.0;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // QosConfigCompiler.
 
@@ -161,8 +169,8 @@ void NetworkManager::handle_failure(ConfigChange change, const util::Error& erro
   }
   // Transient: re-enter the rate-limited queue after an exponential backoff.
   double backoff = config_.retry_backoff_s;
-  for (int i = 1; i < change.attempt; ++i) backoff *= config_.retry_backoff_multiplier;
-  backoff = std::min(backoff, config_.retry_backoff_max_s);
+  for (int i = 1; i < change.attempt; ++i) backoff *= kRetryBackoffMultiplier;
+  backoff = std::min(backoff, kRetryBackoffMaxS);
   c_retries_.inc();
   obs::journal().append(queue_.now().count(), obs::EventKind::kRuleRetry, change.key,
                         error.code + " attempt=" + std::to_string(change.attempt));

@@ -110,9 +110,9 @@ class NetworkManager {
     /// failures re-enter the rate-limited queue after a backoff; once the
     /// budget is exhausted the change is dead-lettered.
     int max_attempts = 4;
-    double retry_backoff_s = 2.0;  ///< Delay before the first retry.
-    double retry_backoff_multiplier = 2.0;
-    double retry_backoff_max_s = 30.0;
+    /// Delay before the first retry; each further retry doubles it, up to
+    /// 30 s.
+    double retry_backoff_s = 2.0;
     /// nullptr selects DefaultTransientClassifier.
     TransientClassifier transient_classifier = nullptr;
     /// Retained-sample cap for waiting_times_s / failure_codes.

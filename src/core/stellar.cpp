@@ -81,16 +81,10 @@ void SignalAdvancedBlackholingLarge(ixp::MemberRouter& member,
                                     const ixp::RouteServer& route_server,
                                     const net::Prefix4& prefix, const Signal& signal,
                                     bool also_propagate_to_members) {
-  bgp::UpdateMessage update;
-  update.attrs.origin = bgp::Origin::kIgp;
-  update.attrs.as_path = {{bgp::AsPathSegment::Type::kSequence, {member.info().asn}}};
-  update.attrs.next_hop = member.info().router_ip;
-  if (!also_propagate_to_members) {
-    update.attrs.communities.push_back(route_server.announce_to_none());
-  }
-  update.attrs.large_communities = EncodeSignalLarge(route_server.config().asn, signal).value();
-  update.announced.push_back(bgp::Nlri4{0, prefix});
-  member.session()->announce(std::move(update));
+  std::vector<bgp::Community> communities;
+  if (!also_propagate_to_members) communities.push_back(route_server.announce_to_none());
+  member.announce(prefix, std::move(communities), {},
+                  EncodeSignalLarge(route_server.config().asn, signal).value());
 }
 
 void WithdrawAdvancedBlackholing(ixp::MemberRouter& member, const net::Prefix4& prefix) {

@@ -7,6 +7,16 @@
 
 namespace stellar::detect {
 
+namespace {
+
+/// Sketches are halved (exponential decay) every this many bins so stale
+/// traffic cannot dominate a later synthesis.
+constexpr std::size_t kDecayEveryBins = 6;
+/// An idle victim's state is evicted after this long without traffic.
+constexpr double kEvictIdleAfterS = 600.0;
+
+}  // namespace
+
 AutoMitigator::AutoMitigator(ixp::MemberRouter& member, const ixp::RouteServer& route_server,
                              Config config)
     : member_(member), route_server_(route_server), cfg_(std::move(config)) {}
@@ -42,7 +52,7 @@ void AutoMitigator::observe_bin(std::span<const net::FlowSample> delivered, doub
 
   // Phase 2: run every tracked victim's detector (zero-volume bins included —
   // a mitigated or ended attack must be able to clear), then act.
-  const bool decay = ++bins_since_decay_ >= cfg_.decay_every_bins;
+  const bool decay = ++bins_since_decay_ >= kDecayEveryBins;
   if (decay) bins_since_decay_ = 0;
   std::vector<std::uint32_t> evict;
   for (auto& [dst_bits, v] : victims_) {
@@ -111,7 +121,7 @@ void AutoMitigator::observe_bin(std::span<const net::FlowSample> delivered, doub
     }
     v.bin_bytes = v.bin_udp_bytes = v.bin_tcp_bytes = 0;
     if (v.record.phase == Phase::kIdle &&
-        t_s - v.last_traffic_s > cfg_.evict_idle_after_s) {
+        t_s - v.last_traffic_s > kEvictIdleAfterS) {
       evict.push_back(dst_bits);
     }
   }

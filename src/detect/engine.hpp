@@ -55,12 +55,8 @@ class AutoMitigator : public core::TrafficObserver {
     std::size_t entropy_window_bins = 6;
     std::size_t sketch_width = 1024;
     std::size_t sketch_depth = 4;
-    /// Sketches are halved (exponential decay) every this many bins so stale
-    /// traffic cannot dominate a later synthesis.
-    std::size_t decay_every_bins = 6;
-    /// Victim-state table bound and idle eviction horizon.
+    /// Victim-state table bound.
     std::size_t max_tracked_victims = 64;
-    double evict_idle_after_s = 600.0;
     /// Remaining admission-control rule budget for the member's port.
     /// Defaults to the synthesizer's max_rules when unset.
     std::function<std::size_t()> tcam_budget_fn;

@@ -15,7 +15,7 @@ template <typename PrefixT>
 std::vector<std::string> ShowRoute(const RouteServer& server, const bgp::BasicRib<PrefixT>& rib,
                                    const PrefixT& prefix) {
   std::vector<std::string> out;
-  for (const auto& route : rib.routes_for(prefix)) {
+  rib.visit_prefix(prefix, [&](const bgp::BasicRouteView<PrefixT>& route) {
     std::ostringstream line;
     line << prefix.str() << " via AS" << server.member_asn_of_peer(route.peer);
     if (const auto next_hop = bgp::Afi<PrefixT>::next_hop(route.attrs)) {
@@ -29,8 +29,12 @@ std::vector<std::string> ShowRoute(const RouteServer& server, const bgp::BasicRi
       line << " extended";
       for (const auto& ec : route.attrs.extended_communities) line << ' ' << ec.str();
     }
+    if (!route.attrs.large_communities.empty()) {
+      line << " large";
+      for (const auto& lc : route.attrs.large_communities) line << ' ' << lc.str();
+    }
     out.push_back(line.str());
-  }
+  });
   return out;
 }
 

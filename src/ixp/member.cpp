@@ -79,14 +79,15 @@ void MemberRouter::replay_announcements() {
 }
 
 void MemberRouter::announce(const net::Prefix4& prefix, std::vector<bgp::Community> communities,
-                            std::vector<bgp::ExtendedCommunity> extended) {
-  announce_prefix(prefix, {std::move(communities), std::move(extended)});
+                            std::vector<bgp::ExtendedCommunity> extended,
+                            std::vector<bgp::LargeCommunity> large) {
+  announce_prefix(prefix, {std::move(communities), std::move(extended), std::move(large)});
 }
 
 void MemberRouter::announce6(const net::Prefix6& prefix,
                              std::vector<bgp::Community> communities,
                              std::vector<bgp::ExtendedCommunity> extended) {
-  announce_prefix(prefix, {std::move(communities), std::move(extended)});
+  announce_prefix(prefix, {std::move(communities), std::move(extended), {}});
 }
 
 void MemberRouter::withdraw(const net::Prefix4& prefix) { withdraw_prefix(prefix); }
@@ -107,11 +108,12 @@ void MemberRouter::send_announce(const PrefixT& prefix, const AnnouncedAttrs& an
   attrs.as_path = {{bgp::AsPathSegment::Type::kSequence, {info_.asn}}};
   attrs.communities = announced.communities;
   attrs.extended_communities = announced.extended;
+  attrs.large_communities = announced.large;
   if constexpr (Afi::kCode == bgp::kAfiIPv4) {
-    // Extended communities mean a Stellar signal (IPv4 only): open the
-    // signal-path trace at the moment the member's BGP stack emits the
+    // Extended or large communities mean a Stellar signal (IPv4 only): open
+    // the signal-path trace at the moment the member's BGP stack emits the
     // announcement.
-    if (!announced.extended.empty()) {
+    if (!announced.extended.empty() || !announced.large.empty()) {
       obs::tracer().mark(prefix.str(), "member_announce", queue_.now().count());
     }
     Afi::set_next_hop(attrs, info_.router_ip);

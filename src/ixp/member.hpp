@@ -76,7 +76,8 @@ class MemberRouter {
 
   /// Announces a prefix to the route server with optional communities.
   void announce(const net::Prefix4& prefix, std::vector<bgp::Community> communities = {},
-                std::vector<bgp::ExtendedCommunity> extended = {});
+                std::vector<bgp::ExtendedCommunity> extended = {},
+                std::vector<bgp::LargeCommunity> large = {});
   void withdraw(const net::Prefix4& prefix);
 
   /// IPv6 equivalents, carried in MP_REACH/MP_UNREACH (RFC 4760).
@@ -116,6 +117,7 @@ class MemberRouter {
   struct AnnouncedAttrs {
     std::vector<bgp::Community> communities;
     std::vector<bgp::ExtendedCommunity> extended;
+    std::vector<bgp::LargeCommunity> large;
   };
   template <typename PrefixT>
   using AnnouncedMap = std::map<PrefixT, AnnouncedAttrs>;

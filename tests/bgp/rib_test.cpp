@@ -13,6 +13,13 @@ namespace {
 
 net::Prefix4 P4(const char* text) { return net::Prefix4::Parse(text).value(); }
 
+/// Number of paths the RIB holds for `prefix`.
+std::size_t PathCount(const Rib& rib, const net::Prefix4& prefix) {
+  std::size_t count = 0;
+  rib.visit_prefix(prefix, [&](const RouteView&) { ++count; });
+  return count;
+}
+
 Route MakeRoute(const char* prefix, PeerId peer, PathId path_id = 0, Asn origin = 65001) {
   Route r;
   r.prefix = P4(prefix);
@@ -28,8 +35,8 @@ TEST(RibTest, InsertAndLookup) {
   Rib rib;
   EXPECT_TRUE(rib.insert(MakeRoute("60.1.0.0/20", 1)));
   EXPECT_EQ(rib.size(), 1u);
-  EXPECT_EQ(rib.routes_for(P4("60.1.0.0/20")).size(), 1u);
-  EXPECT_TRUE(rib.routes_for(P4("60.2.0.0/20")).empty());
+  EXPECT_EQ(PathCount(rib, P4("60.1.0.0/20")), 1u);
+  EXPECT_FALSE(rib.best(P4("60.2.0.0/20")).has_value());
 }
 
 TEST(RibTest, ReinsertSameAttributesIsNoChange) {
@@ -47,7 +54,7 @@ TEST(RibTest, AddPathKeepsMultiplePathsPerPrefixAndPeer) {
   rib.insert(MakeRoute("100.10.10.10/32", 1, 1));
   rib.insert(MakeRoute("100.10.10.10/32", 1, 2));
   rib.insert(MakeRoute("100.10.10.10/32", 2, 1));
-  EXPECT_EQ(rib.routes_for(P4("100.10.10.10/32")).size(), 3u);
+  EXPECT_EQ(PathCount(rib, P4("100.10.10.10/32")), 3u);
 }
 
 TEST(RibTest, WithdrawSpecificPath) {
@@ -56,7 +63,7 @@ TEST(RibTest, WithdrawSpecificPath) {
   rib.insert(MakeRoute("100.10.10.10/32", 1, 2));
   EXPECT_TRUE(rib.withdraw(P4("100.10.10.10/32"), 1, 1));
   EXPECT_FALSE(rib.withdraw(P4("100.10.10.10/32"), 1, 1));
-  EXPECT_EQ(rib.routes_for(P4("100.10.10.10/32")).size(), 1u);
+  EXPECT_EQ(PathCount(rib, P4("100.10.10.10/32")), 1u);
 }
 
 TEST(RibTest, WithdrawPeerRemovesAll) {
@@ -122,13 +129,25 @@ TEST(RibTest, BestSelectsByDecisionProcess) {
   EXPECT_FALSE(rib.best(P4("1.0.0.0/8")).has_value());
 }
 
-/// best() as it was: a copy of every path, then copy-assign the winner.
+/// Reference selection by copies: copy every path of the prefix, then
+/// copy-assign the winner.
 std::optional<Route> BestByCopies(const Rib& rib, const net::Prefix4& prefix) {
+  std::vector<Route> paths;
+  rib.visit_prefix(prefix, [&](const RouteView& view) {
+    paths.push_back(Route{view.prefix, view.peer, view.path_id, view.attrs});
+  });
   std::optional<Route> best_route;
-  for (const auto& r : rib.routes_for(prefix)) {
+  for (const auto& r : paths) {
     if (!best_route || BetterPath(r, *best_route)) best_route = r;
   }
   return best_route;
+}
+
+/// Owned copy of best()'s view, to compare with BestByCopies.
+std::optional<Route> BestCopy(const Rib& rib, const net::Prefix4& prefix) {
+  const auto best = rib.best(prefix);
+  if (!best) return std::nullopt;
+  return Route{best->prefix, best->peer, best->path_id, best->attrs};
 }
 
 TEST(RibTest, BestMatchesTheCopyingSelection) {
@@ -155,10 +174,24 @@ TEST(RibTest, BestMatchesTheCopyingSelection) {
         rib.insert(r);
       }
       for (const auto& p : prefixes) {
-        ASSERT_EQ(rib.best(p), BestByCopies(rib, p)) << "seed " << seed << " step " << i;
+        ASSERT_EQ(BestCopy(rib, p), BestByCopies(rib, p)) << "seed " << seed << " step " << i;
       }
     }
   }
+}
+
+TEST(RibTest, BestIsAViewOfTheStoredRoute) {
+  Rib rib;
+  Route good = MakeRoute("60.1.0.0/20", 2, 3);
+  good.attrs.local_pref = 500;
+  rib.insert(MakeRoute("60.1.0.0/20", 1));
+  rib.insert(good);
+  const auto best = rib.best(P4("60.1.0.0/20"));
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(&best->attrs, rib.find(P4("60.1.0.0/20"), 2, 3).get());
+  EXPECT_EQ(best->peer, 2u);
+  EXPECT_EQ(best->path_id, 3u);
+  EXPECT_EQ(best->attrs, good.attrs);
 }
 
 TEST(RibTest, PrefixesAreDistinctAndSorted) {
@@ -170,48 +203,6 @@ TEST(RibTest, PrefixesAreDistinctAndSorted) {
   ASSERT_EQ(prefixes.size(), 2u);
   EXPECT_EQ(prefixes[0], P4("60.1.0.0/20"));
   EXPECT_EQ(prefixes[1], P4("60.2.0.0/20"));
-}
-
-TEST(DiffSnapshotsTest, AddRemoveModify) {
-  Rib rib;
-  rib.insert(MakeRoute("60.1.0.0/20", 1));
-  rib.insert(MakeRoute("60.2.0.0/20", 1));
-  const auto before = rib.snapshot();
-
-  rib.withdraw(P4("60.1.0.0/20"), 1);          // Removed.
-  Route modified = MakeRoute("60.2.0.0/20", 1);
-  modified.attrs.med = 77;
-  rib.insert(modified);                        // Modified.
-  rib.insert(MakeRoute("60.3.0.0/20", 2));     // Added.
-  const auto after = rib.snapshot();
-
-  const RibDiff diff = DiffSnapshots(before, after);
-  ASSERT_EQ(diff.added.size(), 1u);
-  EXPECT_EQ(diff.added[0].prefix, P4("60.3.0.0/20"));
-  ASSERT_EQ(diff.removed.size(), 1u);
-  EXPECT_EQ(diff.removed[0].prefix, P4("60.1.0.0/20"));
-  ASSERT_EQ(diff.modified.size(), 1u);
-  EXPECT_EQ(diff.modified[0].attrs.med, 77u);
-  EXPECT_EQ(diff.size(), 3u);
-}
-
-TEST(DiffSnapshotsTest, IdenticalSnapshotsAreEmptyDiff) {
-  Rib rib;
-  rib.insert(MakeRoute("60.1.0.0/20", 1));
-  EXPECT_TRUE(DiffSnapshots(rib.snapshot(), rib.snapshot()).empty());
-}
-
-TEST(DiffSnapshotsTest, EmptyToFullAndBack) {
-  Rib rib;
-  rib.insert(MakeRoute("60.1.0.0/20", 1));
-  rib.insert(MakeRoute("60.2.0.0/20", 2));
-  const auto full = rib.snapshot();
-  const RibDiff grow = DiffSnapshots({}, full);
-  EXPECT_EQ(grow.added.size(), 2u);
-  EXPECT_TRUE(grow.removed.empty());
-  const RibDiff shrink = DiffSnapshots(full, {});
-  EXPECT_EQ(shrink.removed.size(), 2u);
-  EXPECT_TRUE(shrink.added.empty());
 }
 
 PathAttributes MakeAttrs(Asn origin) { return MakeRoute("60.1.0.0/20", 1, 0, origin).attrs; }

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "core/stellar.hpp"
+#include "ixp/looking_glass.hpp"
 #include "net/ports.hpp"
+#include "obs/trace.hpp"
 
 namespace stellar::core {
 namespace {
@@ -121,9 +123,59 @@ TEST(SignalLargeTest, LargeCommunitiesStrippedOnMemberExport) {
                                  /*also_propagate_to_members=*/true);
   ixp.settle(10.0);
 
-  const auto routes = other.rib().routes_for(P4("100.10.10.10/32"));
-  ASSERT_EQ(routes.size(), 1u);
-  EXPECT_TRUE(routes[0].attrs.large_communities.empty());
+  // A member RIB holds one path per prefix (the route server's).
+  const auto route = other.rib().best(P4("100.10.10.10/32"));
+  ASSERT_TRUE(route.has_value());
+  EXPECT_TRUE(route->attrs.large_communities.empty());
+}
+
+TEST(SignalLargeTest, SignalSurvivesAMemberSessionFlap) {
+  // A large-community signal goes through MemberRouter::announce like an
+  // extended-community one, so connect_resilient replays it when the
+  // member's session re-joins.
+  obs::tracer().clear();
+  sim::EventQueue queue;
+  ixp::Ixp::Config config;
+  config.asn = kBigIxpAsn;
+  ixp::Ixp ixp(queue, config);
+  ixp::MemberSpec v;
+  v.asn = 65001;
+  v.address_space = P4("100.10.10.0/24");
+  auto& victim = ixp.add_member(v);
+  ixp::MemberSpec o;
+  o.asn = 65002;
+  o.address_space = P4("60.2.0.0/20");
+  ixp.add_member(o);
+  StellarSystem stellar(ixp);
+  bgp::ReconnectPolicy policy;
+  policy.initial_backoff_s = 1.0;
+  policy.jitter_frac = 0.0;
+  victim.connect_resilient([&ixp] { return ixp.route_server().accept_member(65001); }, policy);
+  ixp.settle(30.0);
+
+  Signal signal;
+  signal.rules.push_back({RuleKind::kUdpSrcPort, net::kPortNtp});
+  SignalAdvancedBlackholingLarge(victim, ixp.route_server(), P4("100.10.10.10/32"), signal);
+  ixp.settle(10.0);
+  ASSERT_EQ(stellar.controller().desired().size(), 1u);
+  // The signal-path trace opens at the member's announcement, as it does
+  // for an extended-community signal.
+  const auto stages = obs::tracer().breakdown("100.10.10.10/32");
+  ASSERT_FALSE(stages.empty());
+  EXPECT_EQ(stages.front().stage, "member_announce");
+
+  victim.session()->stop();
+  ixp.settle(60.0);
+  ASSERT_EQ(victim.reconnector()->stats().reconnects, 1u);
+  EXPECT_EQ(stellar.controller().desired().size(), 1u);
+  EXPECT_TRUE(ixp.route_server().adj_rib_in().best(P4("100.10.10.10/32")).has_value());
+  EXPECT_EQ(ixp.edge_router().policy(victim.info().port).rule_count(), 1u);
+
+  // The looking glass lists the replayed signal's large communities.
+  const auto lines = ixp::LookingGlass(ixp.route_server()).show_route(P4("100.10.10.10/32"));
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find(" large " + std::to_string(kBigIxpAsn) + ":"), std::string::npos)
+      << lines[0];
 }
 
 TEST(SignalLargeTest, MergedNamespacesUnionRules) {

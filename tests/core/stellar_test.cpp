@@ -60,7 +60,7 @@ TEST(StellarSystemTest, SignalInstallsRuleOnVictimEgressPort) {
   EXPECT_EQ(f.ixp->edge_router().policy(f.victim->info().port).rule_count(), 1u);
   EXPECT_EQ(f.stellar->manager().stats().applied, 1u);
   // The signal never reached the other member (announce-to-none default).
-  EXPECT_TRUE(f.other->rib().routes_for(P4("100.10.10.10/32")).empty());
+  EXPECT_FALSE(f.other->rib().best(P4("100.10.10.10/32")).has_value());
 }
 
 TEST(StellarSystemTest, InstalledRuleDropsAttackKeepsBenign) {
@@ -174,7 +174,7 @@ TEST(StellarSystemTest, SignalReannouncedWithOriginMismatchIsWithdrawn) {
   f.victim->session()->announce(u);
   f.settle();
   EXPECT_EQ(rs.rejects().origin_mismatch, origin_mismatch + 1);
-  EXPECT_TRUE(rs.adj_rib_in().routes_for(P4("100.10.10.10/32")).empty());
+  EXPECT_FALSE(rs.adj_rib_in().best(P4("100.10.10.10/32")).has_value());
   EXPECT_TRUE(f.stellar->controller().desired().empty());
   EXPECT_EQ(f.ixp->edge_router().policy(f.victim->info().port).rule_count(), 0u);
 }

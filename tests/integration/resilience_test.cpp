@@ -55,8 +55,8 @@ TEST(ResilienceTest, MemberSessionFailureImplicitlyWithdrawsStellarRules) {
   f.victim->session()->stop();
   f.settle(30.0);
   EXPECT_EQ(f.ixp->edge_router().policy(f.victim->info().port).rule_count(), 0u);
-  EXPECT_TRUE(
-      f.ixp->route_server().adj_rib_in().routes_for(P4("100.10.10.10/32")).empty());
+  EXPECT_FALSE(
+      f.ixp->route_server().adj_rib_in().best(P4("100.10.10.10/32")).has_value());
 }
 
 TEST(ResilienceTest, MemberSessionFailureWithdrawsRtbhAtOtherMembers) {
@@ -72,10 +72,10 @@ TEST(ResilienceTest, MemberSessionFailureWithdrawsRtbhAtOtherMembers) {
 
 TEST(ResilienceTest, MemberSessionFailureAlsoWithdrawsRegularRoutes) {
   ResilienceFixture f;
-  ASSERT_FALSE(f.honoring->rib().routes_for(P4("100.10.10.0/24")).empty());
+  ASSERT_TRUE(f.honoring->rib().best(P4("100.10.10.0/24")).has_value());
   f.victim->session()->stop();
   f.settle(30.0);
-  EXPECT_TRUE(f.honoring->rib().routes_for(P4("100.10.10.0/24")).empty());
+  EXPECT_FALSE(f.honoring->rib().best(P4("100.10.10.0/24")).has_value());
 }
 
 TEST(ResilienceTest, ControllerSessionFailureFlushesAllRulesFailSafe) {
@@ -134,10 +134,10 @@ TEST(ResilienceTest, MemberReconnectsAndProtectionResumes) {
   f.victim->announce(f.victim->info().address_space);
   f.signal_ntp_drop();
   EXPECT_EQ(f.ixp->edge_router().policy(f.victim->info().port).rule_count(), 1u);
-  EXPECT_FALSE(
-      f.ixp->route_server().adj_rib_in().routes_for(P4("100.10.10.0/24")).empty());
+  EXPECT_TRUE(
+      f.ixp->route_server().adj_rib_in().best(P4("100.10.10.0/24")).has_value());
   // The honoring member sees the member's prefix again.
-  EXPECT_FALSE(f.honoring->rib().routes_for(P4("100.10.10.0/24")).empty());
+  EXPECT_TRUE(f.honoring->rib().best(P4("100.10.10.0/24")).has_value());
 }
 
 TEST(ResilienceTest, MalformedPeerIsIsolatedFromThePlatform) {
@@ -192,10 +192,10 @@ TEST(ResilienceTest, RejoinedMemberDropsRoutesWithdrawnWhileItWasDown) {
   f.victim->withdraw(P4("100.10.10.10/32"));
   f.settle();
   ASSERT_EQ(f.honoring->reconnector()->stats().reconnects, 1u);
-  EXPECT_TRUE(f.honoring->rib().routes_for(P4("100.10.10.10/32")).empty());
+  EXPECT_FALSE(f.honoring->rib().best(P4("100.10.10.10/32")).has_value());
   EXPECT_FALSE(f.honoring->blackholes(net::IPv4Address(100, 10, 10, 10)));
   // The re-joined session's refresh brings back every current route.
-  EXPECT_FALSE(f.honoring->rib().routes_for(P4("100.10.10.0/24")).empty());
+  EXPECT_TRUE(f.honoring->rib().best(P4("100.10.10.0/24")).has_value());
 }
 
 }  // namespace

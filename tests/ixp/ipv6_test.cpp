@@ -14,6 +14,14 @@ net::Prefix4 P4(const char* text) { return net::Prefix4::Parse(text).value(); }
 net::Prefix6 P6(const char* text) { return net::Prefix6::Parse(text).value(); }
 net::IPv6Address A6(const char* text) { return net::IPv6Address::Parse(text).value(); }
 
+/// Number of paths `rib` holds for `prefix`.
+template <typename PrefixT>
+std::size_t PathCount(const bgp::BasicRib<PrefixT>& rib, const PrefixT& prefix) {
+  std::size_t count = 0;
+  rib.visit_prefix(prefix, [&](const bgp::BasicRouteView<PrefixT>&) { ++count; });
+  return count;
+}
+
 struct V6Fixture {
   sim::EventQueue queue;
   std::unique_ptr<Ixp> ixp;
@@ -50,17 +58,17 @@ TEST(Ipv6Test, MemberPrefixesPropagate) {
   EXPECT_EQ(f.ixp->route_server().adj_rib_in6().size(), 3u);
   // Everyone sees the other members' v6 allocations.
   EXPECT_EQ(f.honoring->rib6().size(), 2u);
-  EXPECT_FALSE(f.honoring->rib6().routes_for(P6("2001:678:a::/48")).empty());
-  EXPECT_FALSE(f.defaults->rib6().routes_for(P6("2001:678:b::/48")).empty());
+  EXPECT_TRUE(f.honoring->rib6().best(P6("2001:678:a::/48")).has_value());
+  EXPECT_TRUE(f.defaults->rib6().best(P6("2001:678:b::/48")).has_value());
   // Nobody received their own prefix back.
-  EXPECT_TRUE(f.v6_member->rib6().routes_for(P6("2001:678:a::/48")).empty());
+  EXPECT_FALSE(f.v6_member->rib6().best(P6("2001:678:a::/48")).has_value());
 }
 
 TEST(Ipv6Test, UnauthorizedV6PrefixRejected) {
   V6Fixture f;
   f.v6_member->announce6(P6("2001:999::/32"));
   f.settle();
-  EXPECT_TRUE(f.ixp->route_server().adj_rib_in6().routes_for(P6("2001:999::/32")).empty());
+  EXPECT_FALSE(f.ixp->route_server().adj_rib_in6().best(P6("2001:999::/32")).has_value());
   EXPECT_GE(f.ixp->route_server().rejects().irr_unauthorized, 1u);
 }
 
@@ -84,17 +92,16 @@ TEST(Ipv6Test, BlackholeHostRouteRewritesNextHopToDiscardPrefix) {
   f.v6_member->announce6(P6("2001:678:a::1/128"), {bgp::kBlackhole});
   f.settle();
   // Accepted at the route server and logged.
-  EXPECT_EQ(f.ixp->route_server().adj_rib_in6().routes_for(P6("2001:678:a::1/128")).size(),
-            1u);
+  EXPECT_EQ(PathCount(f.ixp->route_server().adj_rib_in6(), P6("2001:678:a::1/128")), 1u);
   ASSERT_GE(f.ixp->route_server().blackhole_events6().size(), 1u);
   EXPECT_EQ(f.ixp->route_server().blackhole_events6().back().member, 65001u);
 
   // The honoring member received it with next-hop 100::1 and installs it.
-  const auto routes = f.honoring->rib6().routes_for(P6("2001:678:a::1/128"));
-  ASSERT_EQ(routes.size(), 1u);
-  ASSERT_TRUE(routes[0].attrs.mp_reach_ipv6.has_value());
-  EXPECT_EQ(routes[0].attrs.mp_reach_ipv6->next_hop, A6("100::1"));
-  EXPECT_TRUE(routes[0].attrs.has_community(bgp::kBlackhole));
+  ASSERT_EQ(PathCount(f.honoring->rib6(), P6("2001:678:a::1/128")), 1u);
+  const auto route = *f.honoring->rib6().best(P6("2001:678:a::1/128"));
+  ASSERT_TRUE(route.attrs.mp_reach_ipv6.has_value());
+  EXPECT_EQ(route.attrs.mp_reach_ipv6->next_hop, A6("100::1"));
+  EXPECT_TRUE(route.attrs.has_community(bgp::kBlackhole));
   EXPECT_TRUE(f.honoring->blackholes6(A6("2001:678:a::1")));
   EXPECT_FALSE(f.honoring->blackholes6(A6("2001:678:a::2")));
 
@@ -111,8 +118,8 @@ TEST(Ipv6Test, WithdrawRemovesBlackhole) {
   f.v6_member->withdraw6(P6("2001:678:a::1/128"));
   f.settle();
   EXPECT_FALSE(f.honoring->blackholes6(A6("2001:678:a::1")));
-  EXPECT_TRUE(
-      f.ixp->route_server().adj_rib_in6().routes_for(P6("2001:678:a::1/128")).empty());
+  EXPECT_FALSE(
+      f.ixp->route_server().adj_rib_in6().best(P6("2001:678:a::1/128")).has_value());
   // The withdraw event was logged too.
   EXPECT_TRUE(f.ixp->route_server().blackhole_events6().back().withdrawn);
 }
@@ -122,7 +129,7 @@ TEST(Ipv6Test, ScopeCommunitiesApplyToV6) {
   f.v6_member->announce6(P6("2001:678:a::1/128"),
                          {bgp::kBlackhole, f.ixp->route_server().exclude_peer(65002)});
   f.settle();
-  EXPECT_TRUE(f.honoring->rib6().routes_for(P6("2001:678:a::1/128")).empty());
+  EXPECT_FALSE(f.honoring->rib6().best(P6("2001:678:a::1/128")).has_value());
 }
 
 TEST(Ipv6Test, SessionFailureImplicitlyWithdrawsV6Routes) {
@@ -133,7 +140,7 @@ TEST(Ipv6Test, SessionFailureImplicitlyWithdrawsV6Routes) {
   f.v6_member->session()->stop();
   f.settle();
   EXPECT_FALSE(f.honoring->blackholes6(A6("2001:678:a::1")));
-  EXPECT_TRUE(f.honoring->rib6().routes_for(P6("2001:678:a::/48")).empty());
+  EXPECT_FALSE(f.honoring->rib6().best(P6("2001:678:a::/48")).has_value());
 }
 
 TEST(Ipv6Test, SessionFailureLogsV6BlackholeWithdrawEvent) {
@@ -169,13 +176,13 @@ TEST(Ipv6Test, ResilientReconnectReplaysV6Announcements) {
   f.v6_member->session()->stop();
   f.ixp->settle(0.5);
   ASSERT_FALSE(f.honoring->blackholes6(A6("2001:678:a::1")));
-  ASSERT_TRUE(f.honoring->rib6().routes_for(P6("2001:678:a::/48")).empty());
+  ASSERT_FALSE(f.honoring->rib6().best(P6("2001:678:a::/48")).has_value());
 
   // ...and the re-established session replays them.
   f.settle();
   EXPECT_EQ(f.v6_member->reconnector()->stats().reconnects, 1u);
   EXPECT_TRUE(f.honoring->blackholes6(A6("2001:678:a::1")));
-  EXPECT_FALSE(f.honoring->rib6().routes_for(P6("2001:678:a::/48")).empty());
+  EXPECT_TRUE(f.honoring->rib6().best(P6("2001:678:a::/48")).has_value());
 }
 
 TEST(Ipv6Test, OriginMismatchV6Rejected) {
@@ -190,8 +197,8 @@ TEST(Ipv6Test, OriginMismatchV6Rejected) {
   f.v6_member->session()->announce(u);
   f.settle();
   EXPECT_EQ(f.ixp->route_server().rejects().origin_mismatch, before + 1);
-  EXPECT_TRUE(
-      f.ixp->route_server().adj_rib_in6().routes_for(P6("2001:678:a:1::/64")).empty());
+  EXPECT_FALSE(
+      f.ixp->route_server().adj_rib_in6().best(P6("2001:678:a:1::/64")).has_value());
 }
 
 TEST(Ipv6Test, V4PathUnaffectedByV6Churn) {
@@ -200,7 +207,7 @@ TEST(Ipv6Test, V4PathUnaffectedByV6Churn) {
   f.settle();
   // The v4 allocations are still intact everywhere.
   EXPECT_EQ(f.ixp->route_server().adj_rib_in().size(), 3u);
-  EXPECT_FALSE(f.honoring->rib().routes_for(P4("100.10.10.0/24")).empty());
+  EXPECT_TRUE(f.honoring->rib().best(P4("100.10.10.0/24")).has_value());
 }
 
 TEST(Ipv6Test, LookingGlassShowsV6Routes) {
@@ -252,9 +259,9 @@ TEST(Ipv6Test, RejectedReannouncementWithdrawsEarlierRoute) {
   f.v6_member->announce6(P6("2001:678:a::1/128"));
   f.settle();
   EXPECT_EQ(f.ixp->route_server().rejects().too_specific, too_specific + 1);
-  EXPECT_TRUE(
-      f.ixp->route_server().adj_rib_in6().routes_for(P6("2001:678:a::1/128")).empty());
-  EXPECT_TRUE(f.honoring->rib6().routes_for(P6("2001:678:a::1/128")).empty());
+  EXPECT_FALSE(
+      f.ixp->route_server().adj_rib_in6().best(P6("2001:678:a::1/128")).has_value());
+  EXPECT_FALSE(f.honoring->rib6().best(P6("2001:678:a::1/128")).has_value());
   EXPECT_FALSE(f.honoring->blackholes6(A6("2001:678:a::1")));
   EXPECT_TRUE(f.ixp->route_server().blackhole_events6().back().withdrawn);
 }

@@ -86,7 +86,7 @@ TEST(RouteRefreshTest, TighteningPolicyDropsMoreSpecifics) {
   strict.accepts_more_specifics = false;
   f.fixable->update_policy(strict);
   EXPECT_FALSE(f.fixable->blackholes(net::IPv4Address(100, 10, 10, 10)));
-  EXPECT_TRUE(f.fixable->rib().routes_for(P4("100.10.10.10/32")).empty());
+  EXPECT_FALSE(f.fixable->rib().best(P4("100.10.10.10/32")).has_value());
   f.settle();
   // The refresh re-sent the /32 but the strict policy filters it again.
   EXPECT_FALSE(f.fixable->blackholes(net::IPv4Address(100, 10, 10, 10)));
@@ -107,13 +107,13 @@ TEST(RouteRefreshTest, TighteningPolicyDropsV6MoreSpecifics) {
   f.fixable->update_policy(strict);
   EXPECT_FALSE(f.fixable->blackholes6(host));
   EXPECT_TRUE(f.fixable->blackholed6_prefixes().empty());
-  EXPECT_TRUE(f.fixable->rib6().routes_for(P6("2001:678:a::1/128")).empty());
+  EXPECT_FALSE(f.fixable->rib6().best(P6("2001:678:a::1/128")).has_value());
   // Routes at the /48 boundary stay.
-  EXPECT_FALSE(f.fixable->rib6().routes_for(P6("2001:678:a::/48")).empty());
+  EXPECT_TRUE(f.fixable->rib6().best(P6("2001:678:a::/48")).has_value());
   f.settle();
   // The refresh re-sent the /128 but the strict policy filters it again.
   EXPECT_FALSE(f.fixable->blackholes6(host));
-  EXPECT_TRUE(f.fixable->rib6().routes_for(P6("2001:678:a::1/128")).empty());
+  EXPECT_FALSE(f.fixable->rib6().best(P6("2001:678:a::1/128")).has_value());
 }
 
 TEST(RouteRefreshTest, Ipv6RefreshRecoversV6Blackhole) {
@@ -134,8 +134,8 @@ TEST(RouteRefreshTest, RefreshDoesNotLeakOtherMembersOwnRoutes) {
   f.fixable->session()->request_route_refresh();
   f.settle();
   // Still no self-route and no unauthorized routes.
-  EXPECT_TRUE(f.fixable->rib().routes_for(P4("60.2.0.0/20")).empty());
-  EXPECT_FALSE(f.fixable->rib().routes_for(P4("100.10.10.0/24")).empty());
+  EXPECT_FALSE(f.fixable->rib().best(P4("60.2.0.0/20")).has_value());
+  EXPECT_TRUE(f.fixable->rib().best(P4("100.10.10.0/24")).has_value());
 }
 
 }  // namespace

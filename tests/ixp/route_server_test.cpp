@@ -14,6 +14,14 @@ namespace {
 
 net::Prefix4 P4(const char* text) { return net::Prefix4::Parse(text).value(); }
 
+/// Number of paths `rib` holds for `prefix`.
+template <typename PrefixT>
+std::size_t PathCount(const bgp::BasicRib<PrefixT>& rib, const PrefixT& prefix) {
+  std::size_t count = 0;
+  rib.visit_prefix(prefix, [&](const bgp::BasicRouteView<PrefixT>&) { ++count; });
+  return count;
+}
+
 /// Small IXP with three members: m1 (victim, honors RTBH irrelevant), m2
 /// honors RTBH, m3 does not accept more-specifics.
 struct RsFixture {
@@ -54,8 +62,8 @@ TEST(RouteServerTest, SessionsEstablishAndPrefixesPropagate) {
   EXPECT_EQ(f.rs().adj_rib_in().size(), 3u);  // One prefix per member.
   // m2 sees m1's and m3's prefixes, not its own.
   EXPECT_EQ(f.m2->rib().size(), 2u);
-  EXPECT_FALSE(f.m2->rib().routes_for(P4("100.10.10.0/24")).empty());
-  EXPECT_FALSE(f.m2->rib().routes_for(P4("60.3.0.0/20")).empty());
+  EXPECT_TRUE(f.m2->rib().best(P4("100.10.10.0/24")).has_value());
+  EXPECT_TRUE(f.m2->rib().best(P4("60.3.0.0/20")).has_value());
 }
 
 TEST(RouteServerTest, RejectsUnauthorizedPrefix) {
@@ -63,7 +71,7 @@ TEST(RouteServerTest, RejectsUnauthorizedPrefix) {
   f.m1->announce(P4("61.0.0.0/20"));  // Not in m1's IRR objects.
   f.settle();
   EXPECT_GE(f.rs().rejects().irr_unauthorized, 1u);
-  EXPECT_TRUE(f.rs().adj_rib_in().routes_for(P4("61.0.0.0/20")).empty());
+  EXPECT_FALSE(f.rs().adj_rib_in().best(P4("61.0.0.0/20")).has_value());
 }
 
 TEST(RouteServerTest, RejectsBogon) {
@@ -97,13 +105,13 @@ TEST(RouteServerTest, AcceptsBlackholeSlash32AndRewritesNextHop) {
   f.m1->announce(P4("100.10.10.10/32"), {bgp::kBlackhole});
   f.settle();
   // Accepted at the route server.
-  EXPECT_EQ(f.rs().adj_rib_in().routes_for(P4("100.10.10.10/32")).size(), 1u);
+  EXPECT_EQ(PathCount(f.rs().adj_rib_in(), P4("100.10.10.10/32")), 1u);
   // m2 (honors) received it with the blackhole next-hop and installs it.
-  const auto routes = f.m2->rib().routes_for(P4("100.10.10.10/32"));
-  ASSERT_EQ(routes.size(), 1u);
-  EXPECT_EQ(routes[0].attrs.next_hop, f.ixp->config().blackhole_next_hop);
-  EXPECT_TRUE(routes[0].attrs.has_community(bgp::kBlackhole));
-  EXPECT_TRUE(routes[0].attrs.has_community(bgp::kNoExport));
+  ASSERT_EQ(PathCount(f.m2->rib(), P4("100.10.10.10/32")), 1u);
+  const auto route = *f.m2->rib().best(P4("100.10.10.10/32"));
+  EXPECT_EQ(route.attrs.next_hop, f.ixp->config().blackhole_next_hop);
+  EXPECT_TRUE(route.attrs.has_community(bgp::kBlackhole));
+  EXPECT_TRUE(route.attrs.has_community(bgp::kNoExport));
   EXPECT_TRUE(f.m2->blackholes(net::IPv4Address(100, 10, 10, 10)));
   // m3 (default config) filtered the /32.
   EXPECT_FALSE(f.m3->blackholes(net::IPv4Address(100, 10, 10, 10)));
@@ -114,7 +122,7 @@ TEST(RouteServerTest, ScopeExcludePeer) {
   f.m1->announce(P4("100.10.10.10/32"),
                  {bgp::kBlackhole, f.rs().exclude_peer(65002)});
   f.settle();
-  EXPECT_TRUE(f.m2->rib().routes_for(P4("100.10.10.10/32")).empty());
+  EXPECT_FALSE(f.m2->rib().best(P4("100.10.10.10/32")).has_value());
 }
 
 TEST(RouteServerTest, ScopeAnnounceToNoneWithInclude) {
@@ -122,22 +130,22 @@ TEST(RouteServerTest, ScopeAnnounceToNoneWithInclude) {
   f.m1->announce(P4("100.10.10.10/32"),
                  {bgp::kBlackhole, f.rs().announce_to_none(), f.rs().include_peer(65002)});
   f.settle();
-  EXPECT_FALSE(f.m2->rib().routes_for(P4("100.10.10.10/32")).empty());
+  EXPECT_TRUE(f.m2->rib().best(P4("100.10.10.10/32")).has_value());
   // Scope communities are stripped on export.
-  const auto routes = f.m2->rib().routes_for(P4("100.10.10.10/32"));
-  ASSERT_EQ(routes.size(), 1u);
-  EXPECT_FALSE(routes[0].attrs.has_community(f.rs().announce_to_none()));
-  EXPECT_FALSE(routes[0].attrs.has_community(f.rs().include_peer(65002)));
+  ASSERT_EQ(PathCount(f.m2->rib(), P4("100.10.10.10/32")), 1u);
+  const auto route = *f.m2->rib().best(P4("100.10.10.10/32"));
+  EXPECT_FALSE(route.attrs.has_community(f.rs().announce_to_none()));
+  EXPECT_FALSE(route.attrs.has_community(f.rs().include_peer(65002)));
 }
 
 TEST(RouteServerTest, AnnounceToNoneReachesNoMember) {
   RsFixture f;
   f.m1->announce(P4("100.10.10.10/32"), {bgp::kBlackhole, f.rs().announce_to_none()});
   f.settle();
-  EXPECT_TRUE(f.m2->rib().routes_for(P4("100.10.10.10/32")).empty());
-  EXPECT_TRUE(f.m3->rib().routes_for(P4("100.10.10.10/32")).empty());
+  EXPECT_FALSE(f.m2->rib().best(P4("100.10.10.10/32")).has_value());
+  EXPECT_FALSE(f.m3->rib().best(P4("100.10.10.10/32")).has_value());
   // But the RIB (and thus the controller session) still has it.
-  EXPECT_EQ(f.rs().adj_rib_in().routes_for(P4("100.10.10.10/32")).size(), 1u);
+  EXPECT_EQ(PathCount(f.rs().adj_rib_in(), P4("100.10.10.10/32")), 1u);
 }
 
 TEST(RouteServerTest, WithdrawPropagates) {
@@ -148,7 +156,7 @@ TEST(RouteServerTest, WithdrawPropagates) {
   f.m1->withdraw(P4("100.10.10.10/32"));
   f.settle();
   EXPECT_FALSE(f.m2->blackholes(net::IPv4Address(100, 10, 10, 10)));
-  EXPECT_TRUE(f.rs().adj_rib_in().routes_for(P4("100.10.10.10/32")).empty());
+  EXPECT_FALSE(f.rs().adj_rib_in().best(P4("100.10.10.10/32")).has_value());
 }
 
 TEST(RouteServerTest, BlackholeEventsLogged) {
@@ -175,7 +183,7 @@ TEST(RouteServerTest, SessionFailureLogsBlackholeWithdrawEvent) {
 
   f.m1->session()->stop();
   f.settle();
-  ASSERT_TRUE(f.rs().adj_rib_in().routes_for(P4("100.10.10.10/32")).empty());
+  ASSERT_FALSE(f.rs().adj_rib_in().best(P4("100.10.10.10/32")).has_value());
 
   // Journal parity with the explicit-withdraw path: every logged announce has
   // a matching withdrawn=true event once the route is gone.
@@ -240,9 +248,9 @@ TEST(RouteServerTest, ControllerSessionReceivesAllPathsWithAddPath) {
   // A signal scoped to announce-to-none still reaches the controller.
   f.m1->announce(P4("100.10.10.10/32"), {bgp::kBlackhole, f.rs().announce_to_none()});
   f.settle();
-  EXPECT_EQ(rib.routes_for(P4("100.10.10.10/32")).size(), 1u);
+  ASSERT_EQ(PathCount(rib, P4("100.10.10.10/32")), 1u);
   // Path-ids are nonzero on the ADD-PATH session.
-  EXPECT_NE(rib.routes_for(P4("100.10.10.10/32"))[0].path_id, 0u);
+  EXPECT_NE(rib.best(P4("100.10.10.10/32"))->path_id, 0u);
 }
 
 TEST(RouteServerTest, OriginMismatchRejected) {
@@ -270,8 +278,8 @@ TEST(RouteServerTest, RejectedReannouncementWithdrawsEarlierRoute) {
   f.m1->announce(P4("100.10.10.1/32"));
   f.settle();
   EXPECT_EQ(f.rs().rejects().too_specific, too_specific + 1);
-  EXPECT_TRUE(f.rs().adj_rib_in().routes_for(P4("100.10.10.1/32")).empty());
-  EXPECT_TRUE(f.m2->rib().routes_for(P4("100.10.10.1/32")).empty());
+  EXPECT_FALSE(f.rs().adj_rib_in().best(P4("100.10.10.1/32")).has_value());
+  EXPECT_FALSE(f.m2->rib().best(P4("100.10.10.1/32")).has_value());
   EXPECT_FALSE(f.m2->blackholes(net::IPv4Address(100, 10, 10, 1)));
   ASSERT_FALSE(f.rs().blackhole_events().empty());
   EXPECT_TRUE(f.rs().blackhole_events().back().withdrawn);
@@ -313,7 +321,7 @@ CodecWork AnnounceOnce(std::size_t members, bool filter_last) {
   CodecWork work{registry.counter_total("bgp.codec.updates_encoded") - encoded,
                  registry.counter_total("bgp.codec.updates_decoded") - decoded, 0};
   for (MemberRouter* router : routers) {
-    if (!router->rib().routes_for(P4("60.1.1.0/24")).empty()) ++work.receivers;
+    if (router->rib().best(P4("60.1.1.0/24"))) ++work.receivers;
   }
   return work;
 }

@@ -75,10 +75,10 @@ bgp::PathAttributes ExportOf(const RouteServer& rs, const bgp::PathAttributes& a
 std::optional<bgp::Route> BestFor(const RouteServer& rs, const net::Prefix4& prefix,
                                   bgp::Asn target) {
   std::optional<bgp::Route> best;
-  for (const auto& r : rs.adj_rib_in().routes_for(prefix)) {
-    if (rs.member_asn_of_peer(r.peer) == target || !Eligible(rs, r.attrs, target)) continue;
-    if (!best || bgp::BetterPath(r, *best)) best = r;
-  }
+  rs.adj_rib_in().visit_prefix(prefix, [&](const bgp::RouteView& r) {
+    if (rs.member_asn_of_peer(r.peer) == target || !Eligible(rs, r.attrs, target)) return;
+    if (!best || bgp::BetterPath(r, *best)) best = bgp::Route{r.prefix, r.peer, r.path_id, r.attrs};
+  });
   return best;
 }
 

@@ -344,10 +344,10 @@ struct Script {
 
   template <typename RibT>
   static void digest_rib(Digest& d, const RibT& rib) {
-    for (const auto& route : rib.snapshot()) {
+    rib.for_each([&](const typename RibT::View& route) {
       d.add(route.str());
       d.add(AttrsHex(route.attrs));
-    }
+    });
   }
 
   [[nodiscard]] std::uint64_t digest() const {

@@ -54,13 +54,12 @@ TEST_P(ChurnTest, RibMatchesReferenceModel) {
     ASSERT_EQ(rib.size(), model.size());
   }
   // Final full comparison.
-  const auto snapshot = rib.snapshot();
-  ASSERT_EQ(snapshot.size(), model.size());
-  for (const auto& route : snapshot) {
+  ASSERT_EQ(rib.size(), model.size());
+  rib.for_each([&](const bgp::RouteView& route) {
     const auto it = model.find(std::make_tuple(route.prefix, route.peer, route.path_id));
     ASSERT_NE(it, model.end());
     EXPECT_EQ(route.attrs, it->second);
-  }
+  });
 }
 
 TEST_P(ChurnTest, StellarStateConsistentUnderRandomSignalChurn) {
@@ -197,15 +196,15 @@ TEST_P(ChurnTest, RouteServerChurnKeepsControllerRibInSync) {
 
   // The observer's RIB must mirror the route server's Adj-RIB-In exactly
   // (modulo the path-id relabeling: one path per (prefix, member)).
-  const auto server_routes = ixp.route_server().adj_rib_in().snapshot();
-  EXPECT_EQ(observer_rib.size(), server_routes.size());
-  for (const auto& route : server_routes) {
+  const auto& server_rib = ixp.route_server().adj_rib_in();
+  EXPECT_EQ(observer_rib.size(), server_rib.size());
+  server_rib.for_each([&](const bgp::RouteView& route) {
     bool found = false;
-    for (const auto& observed : observer_rib.routes_for(route.prefix)) {
+    observer_rib.visit_prefix(route.prefix, [&](const bgp::RouteView& observed) {
       if (observed.attrs == route.attrs) found = true;
-    }
+    });
     EXPECT_TRUE(found) << route.str();
-  }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChurnTest, ::testing::Values(5, 6, 7));

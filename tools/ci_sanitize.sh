@@ -70,3 +70,12 @@ done
 # sessions at exit, where each link's virtual keepalives are made real; ASan
 # catches an upkeep read of a peer session that is already gone.
 "$BUILD_DIR"/bench/fig2c_collateral
+
+# Example smoke tests: the seven examples/ programs drive the public API the
+# way a user's program would (signal -> rule install -> egress QoS ->
+# telemetry, RTBH vs Stellar, the SDX and ISP deployments, replay of a
+# synthesized capture); each must exit 0 with no sanitizer report.
+for example in quickstart memcached_multitenant telemetry_shaping rtbh_vs_stellar \
+               sdx_option isp_deployment trace_replay; do
+  "$BUILD_DIR"/examples/"$example"
+done
