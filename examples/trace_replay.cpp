@@ -4,7 +4,8 @@
 // Stellar rule installed, and write the surviving traffic back out.
 //
 // Usage:
-//   ./trace_replay                # generates a demo trace, replays it
+//   ./trace_replay                # generates a demo trace, replays it,
+//                                 # writes ./stellar_replay_out.csv
 //   ./trace_replay in.csv out.csv # replays your own capture
 #include <cstdio>
 
@@ -102,7 +103,7 @@ int main(int argc, char** argv) {
               bins.size(), offered, dropped, survivors.size());
 
   // 4. Write the post-mitigation trace.
-  const std::string out_path = argc >= 3 ? argv[2] : "/tmp/stellar_replay_out.csv";
+  const std::string out_path = argc >= 3 ? argv[2] : "stellar_replay_out.csv";
   if (auto written = traffic::WriteFlowCsvFile(out_path, survivors); !written.ok()) {
     std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
                  written.error().message.c_str());

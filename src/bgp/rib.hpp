@@ -7,9 +7,9 @@
 // (process_full() and the per-epoch process_incremental()) rather than
 // diffing snapshots of it (paper §4.4).
 //
-// The containers are generic over the prefix type: Rib/Route operate on IPv4
-// (the paper's dominant case, >98% of blackholed prefixes), Rib6/Route6 on
-// IPv6 unicast carried in MP_REACH/MP_UNREACH. Afi<PrefixT> holds every
+// The containers are generic over the prefix type: IPv4 (the paper's
+// dominant case, >98% of blackholed prefixes; aliased Rib/Route) and IPv6
+// unicast carried in MP_REACH/MP_UNREACH. Afi<PrefixT> holds every
 // wire-level fact that differs between the two, so code above the codec is
 // written once over the prefix type.
 //
@@ -178,7 +178,6 @@ struct BasicRouteView {
 };
 
 using RouteView = BasicRouteView<net::Prefix4>;
-using RouteView6 = BasicRouteView<net::Prefix6>;
 
 /// An owned route: a test fixture, inserted through its view.
 template <typename PrefixT>
@@ -195,7 +194,6 @@ struct BasicRoute {
 };
 
 using Route = BasicRoute<net::Prefix4>;
-using Route6 = BasicRoute<net::Prefix6>;
 
 /// RFC 4271 §9.1 decision process (the subset meaningful at an IXP route
 /// server): local-pref desc, as-path length asc, origin asc, MED asc,
@@ -329,6 +327,5 @@ class BasicRib {
 };
 
 using Rib = BasicRib<net::Prefix4>;
-using Rib6 = BasicRib<net::Prefix6>;
 
 }  // namespace stellar::bgp

@@ -108,6 +108,20 @@ struct LargeCommunity {
   [[nodiscard]] std::string str() const;
 };
 
+/// True if `asn` fits the two-octet AS field of RFC 1997 and RFC 4360.
+[[nodiscard]] constexpr bool IsTwoOctetAsn(Asn asn) { return asn <= 0xffff; }
+
+/// Whether a community lies in an IXP's community namespace: the one that
+/// names the IXP's ASN. An extended community's AS field holds two octets,
+/// so an IXP with a 4-byte ASN has no extended-community namespace (its
+/// ASN would truncate into some other AS's); it signals in large communities.
+[[nodiscard]] inline bool InIxpNamespace(const ExtendedCommunity& ec, Asn ixp_asn) {
+  return IsTwoOctetAsn(ixp_asn) && ec.as_number() == ixp_asn;
+}
+[[nodiscard]] constexpr bool InIxpNamespace(const LargeCommunity& lc, Asn ixp_asn) {
+  return lc.global_admin == ixp_asn;
+}
+
 /// ORIGIN path attribute values (RFC 4271 §5.1.1).
 enum class Origin : std::uint8_t { kIgp = 0, kEgp = 1, kIncomplete = 2 };
 

@@ -145,14 +145,12 @@ void BlackholingController::on_update(const bgp::UpdateMessage& update) {
 std::vector<std::pair<std::string, BlackholingController::DesiredRule>>
 BlackholingController::derive_rules(const bgp::RouteView& route) {
   std::vector<std::pair<std::string, DesiredRule>> out;
-  const bool ext_namespace_usable = config_.ixp_asn <= 0xffff;
-  const bool has_ext =
-      ext_namespace_usable &&
-      HasStellarSignal(static_cast<std::uint16_t>(config_.ixp_asn),
-                       route.attrs.extended_communities);
-  const bool has_large =
-      HasStellarSignalLarge(config_.ixp_asn, route.attrs.large_communities);
-  if (!has_ext && !has_large) return out;
+  if (route.attrs.extended_communities.empty() && route.attrs.large_communities.empty()) {
+    return out;
+  }
+  const auto decoded = DecodeRouteSignal(config_.ixp_asn, route.attrs.extended_communities,
+                                         route.attrs.large_communities);
+  if (decoded.ok() && !decoded->has_value()) return out;
 
   // Stats are per signaled route, not per processing round — and a route is
   // invalid at most once, no matter how many of its rules fail to translate
@@ -166,30 +164,11 @@ BlackholingController::derive_rules(const bgp::RouteView& route) {
     }
   };
 
-  // Merge both namespaces: rules union, any shaping action applies.
-  Signal merged;
-  if (has_ext) {
-    auto decoded = DecodeSignal(static_cast<std::uint16_t>(config_.ixp_asn),
-                                route.attrs.extended_communities);
-    if (!decoded.ok()) {
-      count_invalid_once();
-      return out;
-    }
-    merged = std::move(*decoded);
+  if (!decoded.ok()) {
+    count_invalid_once();
+    return out;
   }
-  if (has_large) {
-    auto decoded = DecodeSignalLarge(config_.ixp_asn, route.attrs.large_communities);
-    if (!decoded.ok()) {
-      count_invalid_once();
-      return out;
-    }
-    merged.rules.insert(merged.rules.end(), decoded->rules.begin(), decoded->rules.end());
-    std::sort(merged.rules.begin(), merged.rules.end());
-    merged.rules.erase(std::unique(merged.rules.begin(), merged.rules.end()),
-                       merged.rules.end());
-    if (!merged.shape_rate_mbps) merged.shape_rate_mbps = decoded->shape_rate_mbps;
-  }
-  const auto& signal = merged;
+  const Signal& signal = **decoded;
   if (signal.rules.empty()) {
     count_invalid_once();
     return out;

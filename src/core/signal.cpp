@@ -24,6 +24,126 @@ util::Result<std::uint32_t> ValidatedRateMbps(double rate) {
   return static_cast<std::uint32_t>(rate);
 }
 
+/// One Stellar community, whatever its namespace.
+struct Word {
+  std::uint8_t function = 0;  ///< kStellarMatchSubtype or kStellarActionSubtype.
+  std::uint32_t kind = 0;     ///< Match: the rule kind.
+  std::uint32_t value = 0;    ///< Match: the rule value. Action: the rate in Mbps.
+};
+
+template <typename Community>
+Community Pack(bgp::Asn ixp_asn, const Word& word);
+
+template <>
+bgp::ExtendedCommunity Pack(bgp::Asn ixp_asn, const Word& word) {
+  return bgp::ExtendedCommunity::TwoOctetAs(word.function, static_cast<std::uint16_t>(ixp_asn),
+                                            (word.kind << 24) | word.value);
+}
+
+template <>
+bgp::LargeCommunity Pack(bgp::Asn ixp_asn, const Word& word) {
+  return {ixp_asn, (std::uint32_t{word.function} << 24) | word.kind, word.value};
+}
+
+/// The word an extended community carries, if it is a Stellar one. A match
+/// keeps the reserved byte in its value, so the 16-bit value check rejects it.
+std::optional<Word> Unpack(const bgp::ExtendedCommunity& ec, bgp::Asn ixp_asn) {
+  if ((ec.type() & 0x3f) != bgp::ExtendedCommunity::kTypeTwoOctetAs ||
+      !bgp::InIxpNamespace(ec, ixp_asn)) {
+    return std::nullopt;
+  }
+  const std::uint32_t admin = ec.local_admin();
+  if (ec.subtype() == kStellarMatchSubtype) {
+    return Word{kStellarMatchSubtype, admin >> 24, admin & 0x00ffffff};
+  }
+  if (ec.subtype() == kStellarActionSubtype) return Word{kStellarActionSubtype, 0, admin};
+  return std::nullopt;
+}
+
+/// The word a large community carries, if it is a Stellar one.
+std::optional<Word> Unpack(const bgp::LargeCommunity& lc, bgp::Asn ixp_asn) {
+  const std::uint32_t function = lc.data1 >> 24;
+  if (!bgp::InIxpNamespace(lc, ixp_asn) ||
+      (function != kStellarMatchSubtype && function != kStellarActionSubtype)) {
+    return std::nullopt;
+  }
+  return Word{static_cast<std::uint8_t>(function), lc.data1 & 0x00ffffff, lc.data2};
+}
+
+template <typename Community>
+util::Result<std::vector<Community>> Encode(bgp::Asn ixp_asn, const Signal& signal) {
+  std::vector<Community> out;
+  out.reserve(signal.rules.size() + 1);
+  for (const auto& rule : signal.rules) {
+    out.push_back(Pack<Community>(
+        ixp_asn, {kStellarMatchSubtype, static_cast<std::uint8_t>(rule.kind), rule.value}));
+  }
+  if (signal.shape_rate_mbps.has_value()) {
+    auto rate = ValidatedRateMbps(*signal.shape_rate_mbps);
+    if (!rate.ok()) return rate.error();
+    if (*rate > 0) out.push_back(Pack<Community>(ixp_asn, {kStellarActionSubtype, 0, *rate}));
+  }
+  return out;
+}
+
+/// Adds one word's rule or action to `signal`.
+util::Result<void> Add(const Word& word, Signal& signal) {
+  if (word.function == kStellarActionSubtype) {
+    const auto rate = static_cast<double>(word.value);
+    if (signal.shape_rate_mbps.has_value() && *signal.shape_rate_mbps != rate) {
+      return util::MakeError(
+          "stellar.signal",
+          "conflicting action communities (" +
+              std::to_string(static_cast<std::uint32_t>(*signal.shape_rate_mbps)) +
+              " Mbps vs " + std::to_string(word.value) + " Mbps)");
+    }
+    signal.shape_rate_mbps = rate;
+    return {};
+  }
+  if (word.kind > static_cast<std::uint32_t>(RuleKind::kPredefined) ||
+      (word.kind > 5 && word.kind < 10)) {
+    return util::MakeError("stellar.signal", "unknown rule kind " + std::to_string(word.kind));
+  }
+  if (word.value > 0xffff) {
+    return util::MakeError("stellar.signal",
+                           "rule value out of 16-bit range (or reserved byte set)");
+  }
+  signal.rules.push_back(
+      {static_cast<RuleKind>(word.kind), static_cast<std::uint16_t>(word.value)});
+  return {};
+}
+
+/// Adds every Stellar word among `communities` to `signal`; true if there
+/// was one.
+template <typename Community>
+util::Result<bool> Collect(bgp::Asn ixp_asn, std::span<const Community> communities,
+                           Signal& signal) {
+  bool found = false;
+  for (const auto& community : communities) {
+    const auto word = Unpack(community, ixp_asn);
+    if (!word) continue;
+    found = true;
+    if (auto added = Add(*word, signal); !added.ok()) return added.error();
+  }
+  return found;
+}
+
+void Normalize(Signal& signal) {
+  std::sort(signal.rules.begin(), signal.rules.end());
+  signal.rules.erase(std::unique(signal.rules.begin(), signal.rules.end()),
+                     signal.rules.end());
+}
+
+template <typename Community>
+util::Result<Signal> DecodeNamespace(bgp::Asn ixp_asn, std::span<const Community> communities) {
+  Signal signal;
+  if (const auto found = Collect(ixp_asn, communities, signal); !found.ok()) {
+    return found.error();
+  }
+  Normalize(signal);
+  return signal;
+}
+
 }  // namespace
 
 std::string_view ToString(RuleKind kind) {
@@ -45,134 +165,35 @@ std::string SignalRule::str() const {
 
 util::Result<std::vector<bgp::ExtendedCommunity>> EncodeSignal(std::uint16_t ixp_asn,
                                                                const Signal& signal) {
-  std::vector<bgp::ExtendedCommunity> out;
-  out.reserve(signal.rules.size() + 1);
-  for (const auto& rule : signal.rules) {
-    const std::uint32_t local_admin =
-        (std::uint32_t{static_cast<std::uint8_t>(rule.kind)} << 24) | rule.value;
-    out.push_back(
-        bgp::ExtendedCommunity::TwoOctetAs(kStellarMatchSubtype, ixp_asn, local_admin));
-  }
-  if (signal.shape_rate_mbps.has_value()) {
-    auto rate = ValidatedRateMbps(*signal.shape_rate_mbps);
-    if (!rate.ok()) return rate.error();
-    if (*rate > 0) {
-      out.push_back(
-          bgp::ExtendedCommunity::TwoOctetAs(kStellarActionSubtype, ixp_asn, *rate));
-    }
-  }
-  return out;
-}
-
-util::Result<Signal> DecodeSignal(std::uint16_t ixp_asn,
-                                  std::span<const bgp::ExtendedCommunity> ecs) {
-  Signal signal;
-  for (const auto& ec : ecs) {
-    if ((ec.type() & 0x3f) != bgp::ExtendedCommunity::kTypeTwoOctetAs) continue;
-    if (ec.as_number() != ixp_asn) continue;
-    if (ec.subtype() == kStellarMatchSubtype) {
-      const std::uint32_t admin = ec.local_admin();
-      const auto kind_byte = static_cast<std::uint8_t>(admin >> 24);
-      if (kind_byte > static_cast<std::uint8_t>(RuleKind::kPredefined) ||
-          (kind_byte > 5 && kind_byte < 10)) {
-        return util::MakeError("stellar.signal",
-                               "unknown rule kind " + std::to_string(kind_byte));
-      }
-      if ((admin & 0x00ff0000u) != 0) {
-        return util::MakeError("stellar.signal", "reserved byte set in match community");
-      }
-      SignalRule rule;
-      rule.kind = static_cast<RuleKind>(kind_byte);
-      rule.value = static_cast<std::uint16_t>(admin & 0xffff);
-      signal.rules.push_back(rule);
-    } else if (ec.subtype() == kStellarActionSubtype) {
-      const auto rate = static_cast<double>(ec.local_admin());
-      if (signal.shape_rate_mbps.has_value() && *signal.shape_rate_mbps != rate) {
-        return util::MakeError("stellar.signal",
-                               "conflicting duplicate action communities (" +
-                                   std::to_string(static_cast<std::uint32_t>(
-                                       *signal.shape_rate_mbps)) +
-                                   " Mbps vs " + std::to_string(ec.local_admin()) + " Mbps)");
-      }
-      signal.shape_rate_mbps = rate;
-    }
-  }
-  std::sort(signal.rules.begin(), signal.rules.end());
-  signal.rules.erase(std::unique(signal.rules.begin(), signal.rules.end()),
-                     signal.rules.end());
-  return signal;
-}
-
-bool HasStellarSignal(std::uint16_t ixp_asn, std::span<const bgp::ExtendedCommunity> ecs) {
-  return std::any_of(ecs.begin(), ecs.end(), [&](const bgp::ExtendedCommunity& ec) {
-    return (ec.type() & 0x3f) == bgp::ExtendedCommunity::kTypeTwoOctetAs &&
-           ec.as_number() == ixp_asn &&
-           (ec.subtype() == kStellarMatchSubtype || ec.subtype() == kStellarActionSubtype);
-  });
+  return Encode<bgp::ExtendedCommunity>(ixp_asn, signal);
 }
 
 util::Result<std::vector<bgp::LargeCommunity>> EncodeSignalLarge(std::uint32_t ixp_asn,
                                                                  const Signal& signal) {
-  std::vector<bgp::LargeCommunity> out;
-  out.reserve(signal.rules.size() + 1);
-  for (const auto& rule : signal.rules) {
-    out.push_back(bgp::LargeCommunity{
-        ixp_asn,
-        (kStellarLargeMatchFunction << 24) | static_cast<std::uint32_t>(rule.kind),
-        rule.value});
-  }
-  if (signal.shape_rate_mbps.has_value()) {
-    auto rate = ValidatedRateMbps(*signal.shape_rate_mbps);
-    if (!rate.ok()) return rate.error();
-    if (*rate > 0) {
-      out.push_back(bgp::LargeCommunity{ixp_asn, kStellarLargeActionFunction << 24, *rate});
-    }
-  }
-  return out;
+  return Encode<bgp::LargeCommunity>(ixp_asn, signal);
+}
+
+util::Result<Signal> DecodeSignal(std::uint16_t ixp_asn,
+                                  std::span<const bgp::ExtendedCommunity> ecs) {
+  return DecodeNamespace(ixp_asn, ecs);
 }
 
 util::Result<Signal> DecodeSignalLarge(std::uint32_t ixp_asn,
                                        std::span<const bgp::LargeCommunity> lcs) {
-  Signal signal;
-  for (const auto& lc : lcs) {
-    if (lc.global_admin != ixp_asn) continue;
-    const std::uint32_t function = lc.data1 >> 24;
-    if (function == kStellarLargeMatchFunction) {
-      const std::uint32_t kind = lc.data1 & 0x00ffffff;
-      if (kind > static_cast<std::uint32_t>(RuleKind::kPredefined) ||
-          (kind > 5 && kind < 10)) {
-        return util::MakeError("stellar.signal",
-                               "unknown rule kind " + std::to_string(kind));
-      }
-      if (lc.data2 > 0xffff) {
-        return util::MakeError("stellar.signal", "rule value out of 16-bit range");
-      }
-      signal.rules.push_back(
-          {static_cast<RuleKind>(kind), static_cast<std::uint16_t>(lc.data2)});
-    } else if (function == kStellarLargeActionFunction) {
-      const auto rate = static_cast<double>(lc.data2);
-      if (signal.shape_rate_mbps.has_value() && *signal.shape_rate_mbps != rate) {
-        return util::MakeError(
-            "stellar.signal",
-            "conflicting duplicate action communities (" +
-                std::to_string(static_cast<std::uint32_t>(*signal.shape_rate_mbps)) +
-                " Mbps vs " + std::to_string(lc.data2) + " Mbps)");
-      }
-      signal.shape_rate_mbps = rate;
-    }
-  }
-  std::sort(signal.rules.begin(), signal.rules.end());
-  signal.rules.erase(std::unique(signal.rules.begin(), signal.rules.end()),
-                     signal.rules.end());
-  return signal;
+  return DecodeNamespace(ixp_asn, lcs);
 }
 
-bool HasStellarSignalLarge(std::uint32_t ixp_asn, std::span<const bgp::LargeCommunity> lcs) {
-  return std::any_of(lcs.begin(), lcs.end(), [&](const bgp::LargeCommunity& lc) {
-    const std::uint32_t function = lc.data1 >> 24;
-    return lc.global_admin == ixp_asn && (function == kStellarLargeMatchFunction ||
-                                          function == kStellarLargeActionFunction);
-  });
+util::Result<std::optional<Signal>> DecodeRouteSignal(
+    bgp::Asn ixp_asn, std::span<const bgp::ExtendedCommunity> ecs,
+    std::span<const bgp::LargeCommunity> lcs) {
+  Signal signal;
+  const auto extended = Collect(ixp_asn, ecs, signal);
+  if (!extended.ok()) return extended.error();
+  const auto large = Collect(ixp_asn, lcs, signal);
+  if (!large.ok()) return large.error();
+  if (!*extended && !*large) return std::optional<Signal>();
+  Normalize(signal);
+  return std::optional<Signal>(std::move(signal));
 }
 
 util::Result<filter::MatchCriteria> ToMatchCriteria(const SignalRule& rule,

@@ -1,12 +1,19 @@
-// Advanced Blackholing signal codec over BGP extended communities
-// (paper §4.2.1: "We choose BGP extended communities for signaling since
-// extended communities provide a sufficiently large numbering space and allow
-// us to define a distinct community namespace for blackholing rules").
+// Advanced Blackholing signal codec over BGP communities (paper §4.2.1: "We
+// choose BGP extended communities for signaling since extended communities
+// provide a sufficiently large numbering space and allow us to define a
+// distinct community namespace for blackholing rules").
 //
-// Wire mapping (two-octet-AS-specific extended community, RFC 4360 §3.1,
-// AS = the IXP's ASN):
-//   subtype 0x80 ("match"):  local_admin = kind(1 byte) | reserved | value(2 bytes)
-//   subtype 0x81 ("action"): local_admin = shape rate in Mbps (0 = drop)
+// One codec, two packings. A signal is a set of (function, kind, value)
+// words: function 0x80 ("match") selects traffic by rule kind and a 16-bit
+// value, function 0x81 ("action") carries the shape rate in Mbps (0 = drop).
+// Every rule (kind validity, the 16-bit value range, rate validation, the
+// conflicting-action error, sort and dedup) is written once over the word;
+// the two namespaces differ only in how a word is packed:
+//   extended (RFC 4360 §3.1 two-octet-AS-specific, AS = the IXP's ASN):
+//     subtype = function, local_admin = kind(1 byte) | reserved | value(2 bytes)
+//     for a match, the rate for an action;
+//   large (RFC 8092, for IXPs whose ASN needs four octets):
+//     global_admin = IXP ASN, data1 = function << 24 | kind, data2 = value.
 //
 // The paper's §5.3 example "IXP:2:123 — 2 refers to UDP source traffic and
 // 123 to port 123" maps to kind kUdpSrcPort (=2), value 123.
@@ -24,13 +31,12 @@
 
 namespace stellar::core {
 
-/// Stellar's extended-community subtypes inside the IXP namespace.
+/// The word's function: the extended-community subtype inside the IXP
+/// namespace, and the high byte of a large community's data1.
 inline constexpr std::uint8_t kStellarMatchSubtype = 0x80;
 inline constexpr std::uint8_t kStellarActionSubtype = 0x81;
-
-/// Function selectors for the large-community encoding (data1 high byte).
-inline constexpr std::uint32_t kStellarLargeMatchFunction = 0x80;
-inline constexpr std::uint32_t kStellarLargeActionFunction = 0x81;
+inline constexpr std::uint32_t kStellarLargeMatchFunction = kStellarMatchSubtype;
+inline constexpr std::uint32_t kStellarLargeActionFunction = kStellarActionSubtype;
 
 /// What a single match community selects. Values are the on-the-wire kind
 /// byte; kUdpSrcPort = 2 matches the paper's "IXP:2:123" example.
@@ -69,39 +75,33 @@ struct Signal {
   friend bool operator==(const Signal&, const Signal&) = default;
 };
 
-/// Encodes a signal into the extended communities to attach to the /32
-/// announcement. The action field is a 32-bit integral Mbps rate on the wire,
-/// so a set `shape_rate_mbps` must be a non-negative integral value that fits
-/// in 32 bits; anything else (NaN, negative, fractional, overflowing) is an
-/// error rather than a silent truncation.
+/// Encodes a signal into the communities to attach to the /32 announcement,
+/// in either namespace. The action field is a 32-bit integral Mbps rate on
+/// the wire, so a set `shape_rate_mbps` must be a non-negative integral value
+/// that fits in 32 bits; anything else (NaN, negative, fractional,
+/// overflowing) is an error rather than a silent truncation.
 [[nodiscard]] util::Result<std::vector<bgp::ExtendedCommunity>> EncodeSignal(
     std::uint16_t ixp_asn, const Signal& signal);
-
-/// Extracts a Stellar signal from a route's extended communities.
-/// Returns an empty-rules Signal if no Stellar communities are present.
-/// Duplicate match communities deduplicate; duplicate action communities with
-/// conflicting rates are an error (never silent last-wins).
-[[nodiscard]] util::Result<Signal> DecodeSignal(std::uint16_t ixp_asn,
-                                                std::span<const bgp::ExtendedCommunity> ecs);
-
-/// True if any extended community belongs to the Stellar namespace of the IXP.
-[[nodiscard]] bool HasStellarSignal(std::uint16_t ixp_asn,
-                                    std::span<const bgp::ExtendedCommunity> ecs);
-
-/// Large-community variant (RFC 8092) of the signal codec. Two-octet-AS
-/// extended communities cannot carry a 4-byte IXP ASN in their AS field;
-/// large communities give the full 32-bit namespace:
-///   global_admin = IXP ASN,
-///   data1        = function(8) << 24 | rule kind(8),
-///   data2        = value (port / protocol / rate in Mbps).
-/// Same rate-validity and duplicate-action semantics as the extended-community
-/// codec above.
 [[nodiscard]] util::Result<std::vector<bgp::LargeCommunity>> EncodeSignalLarge(
     std::uint32_t ixp_asn, const Signal& signal);
+
+/// Extracts a Stellar signal from one namespace's communities. Returns an
+/// empty-rules Signal if no Stellar communities are present. Duplicate match
+/// communities deduplicate; action communities with conflicting rates are an
+/// error (never silent last-wins).
+[[nodiscard]] util::Result<Signal> DecodeSignal(std::uint16_t ixp_asn,
+                                                std::span<const bgp::ExtendedCommunity> ecs);
 [[nodiscard]] util::Result<Signal> DecodeSignalLarge(
     std::uint32_t ixp_asn, std::span<const bgp::LargeCommunity> lcs);
-[[nodiscard]] bool HasStellarSignalLarge(std::uint32_t ixp_asn,
-                                         std::span<const bgp::LargeCommunity> lcs);
+
+/// Extracts the Stellar signal a route carries, reading both namespaces in
+/// one pass (the extended one only when the IXP's ASN fits two octets).
+/// nullopt: the route carries no Stellar community. A route may split its
+/// rules across the namespaces; actions that conflict, within one namespace
+/// or across the two, are an error like any other invalid community.
+[[nodiscard]] util::Result<std::optional<Signal>> DecodeRouteSignal(
+    bgp::Asn ixp_asn, std::span<const bgp::ExtendedCommunity> ecs,
+    std::span<const bgp::LargeCommunity> lcs);
 
 /// Expands a signal rule into data-plane match criteria against a victim
 /// prefix. kPredefined rules are resolved by the caller via the portal and

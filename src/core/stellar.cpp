@@ -72,19 +72,13 @@ void SignalAdvancedBlackholing(ixp::MemberRouter& member, const ixp::RouteServer
   if (!also_propagate_to_members) communities.push_back(route_server.announce_to_none());
   // Invalid signals (fractional/overflowing rate) are caller bugs: value()
   // throws instead of announcing a silently-mangled action.
-  member.announce(
-      prefix, std::move(communities),
-      EncodeSignal(static_cast<std::uint16_t>(route_server.config().asn), signal).value());
-}
-
-void SignalAdvancedBlackholingLarge(ixp::MemberRouter& member,
-                                    const ixp::RouteServer& route_server,
-                                    const net::Prefix4& prefix, const Signal& signal,
-                                    bool also_propagate_to_members) {
-  std::vector<bgp::Community> communities;
-  if (!also_propagate_to_members) communities.push_back(route_server.announce_to_none());
-  member.announce(prefix, std::move(communities), {},
-                  EncodeSignalLarge(route_server.config().asn, signal).value());
+  const bgp::Asn asn = route_server.config().asn;
+  if (bgp::IsTwoOctetAsn(asn)) {
+    member.announce(prefix, std::move(communities),
+                    EncodeSignal(static_cast<std::uint16_t>(asn), signal).value());
+  } else {
+    member.announce(prefix, std::move(communities), {}, EncodeSignalLarge(asn, signal).value());
+  }
 }
 
 void WithdrawAdvancedBlackholing(ixp::MemberRouter& member, const net::Prefix4& prefix) {

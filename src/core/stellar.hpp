@@ -93,18 +93,12 @@ class StellarSystem {
 /// Member-side convenience: announce `prefix` with an Advanced Blackholing
 /// signal. By default the announcement is scoped to the IXP only
 /// (announce-to-none) — one-to-IXP signaling, no member cooperation — which
-/// is the defining difference from RTBH's one-to-all model.
+/// is the defining difference from RTBH's one-to-all model. The signal goes
+/// in extended communities when the IXP's ASN fits their two-octet AS field,
+/// and in RFC 8092 large communities otherwise.
 void SignalAdvancedBlackholing(ixp::MemberRouter& member, const ixp::RouteServer& route_server,
                                const net::Prefix4& prefix, const Signal& signal,
                                bool also_propagate_to_members = false);
-
-/// Same as SignalAdvancedBlackholing but signaling in the RFC 8092
-/// large-community namespace — required when the IXP's ASN does not fit the
-/// two-octet-AS extended community AS field.
-void SignalAdvancedBlackholingLarge(ixp::MemberRouter& member,
-                                    const ixp::RouteServer& route_server,
-                                    const net::Prefix4& prefix, const Signal& signal,
-                                    bool also_propagate_to_members = false);
 
 /// Withdraw a previously signaled prefix (removes its rules at the next
 /// controller processing round).

@@ -64,7 +64,7 @@ MemberRouter& Ixp::add_member(const MemberSpec& spec) {
                                                route_server_.config().blackhole_next_hop6);
   router->connect(route_server_.accept_member(spec.asn));
   router->announce(spec.address_space);
-  if (spec.address_space6) router->announce6(*spec.address_space6);
+  if (spec.address_space6) router->announce(*spec.address_space6);
   MemberRouter& ref = *router;
   by_asn_[spec.asn] = &ref;
   by_mac_[info.mac] = &ref;

@@ -9,15 +9,13 @@
 
 namespace stellar::ixp {
 
-namespace {
-
 template <typename PrefixT>
-std::vector<std::string> ShowRoute(const RouteServer& server, const bgp::BasicRib<PrefixT>& rib,
-                                   const PrefixT& prefix) {
+std::vector<std::string> LookingGlass::show_route(const PrefixT& prefix) const {
   std::vector<std::string> out;
+  const auto& rib = server_.adj_rib_in<PrefixT>();
   rib.visit_prefix(prefix, [&](const bgp::BasicRouteView<PrefixT>& route) {
     std::ostringstream line;
-    line << prefix.str() << " via AS" << server.member_asn_of_peer(route.peer);
+    line << prefix.str() << " via AS" << server_.member_asn_of_peer(route.peer);
     if (const auto next_hop = bgp::Afi<PrefixT>::next_hop(route.attrs)) {
       line << " next-hop " << next_hop->str();
     }
@@ -38,15 +36,8 @@ std::vector<std::string> ShowRoute(const RouteServer& server, const bgp::BasicRi
   return out;
 }
 
-}  // namespace
-
-std::vector<std::string> LookingGlass::show_route(const net::Prefix4& prefix) const {
-  return ShowRoute(server_, server_.adj_rib_in(), prefix);
-}
-
-std::vector<std::string> LookingGlass::show_route6(const net::Prefix6& prefix) const {
-  return ShowRoute(server_, server_.adj_rib_in6(), prefix);
-}
+template std::vector<std::string> LookingGlass::show_route(const net::Prefix4&) const;
+template std::vector<std::string> LookingGlass::show_route(const net::Prefix6&) const;
 
 std::vector<std::string> LookingGlass::show_rib_summary() const {
   std::map<net::Prefix4, std::size_t> paths_per_prefix;
@@ -63,7 +54,7 @@ std::string LookingGlass::show_status() const {
   out << "members=" << server_.member_count()
       << " established=" << server_.established_member_sessions()
       << " routes=" << server_.adj_rib_in().size()
-      << " routes6=" << server_.adj_rib_in6().size()
+      << " routes6=" << server_.adj_rib_in<net::Prefix6>().size()
       << " rejects{bogon=" << server_.rejects().bogon
       << ", irr=" << server_.rejects().irr_unauthorized
       << ", rpki=" << server_.rejects().rpki_invalid

@@ -14,10 +14,11 @@ class LookingGlass {
  public:
   explicit LookingGlass(const RouteServer& server) : server_(server) {}
 
-  /// All paths the route server holds for a prefix, rendered like
+  /// All paths the route server holds for a prefix (net::Prefix4 or
+  /// net::Prefix6), rendered like
   /// "100.10.10.10/32 via AS65010 next-hop 10.0.1.1 communities 65535:666".
-  [[nodiscard]] std::vector<std::string> show_route(const net::Prefix4& prefix) const;
-  [[nodiscard]] std::vector<std::string> show_route6(const net::Prefix6& prefix) const;
+  template <typename PrefixT>
+  [[nodiscard]] std::vector<std::string> show_route(const PrefixT& prefix) const;
 
   /// Summary line per prefix in the RIB.
   [[nodiscard]] std::vector<std::string> show_rib_summary() const;

@@ -78,26 +78,14 @@ void MemberRouter::replay_announcements() {
   for (const auto& [prefix, attrs] : announced_.v6) send_announce(prefix, attrs);
 }
 
-void MemberRouter::announce(const net::Prefix4& prefix, std::vector<bgp::Community> communities,
+template <typename PrefixT>
+void MemberRouter::announce(const PrefixT& prefix, std::vector<bgp::Community> communities,
                             std::vector<bgp::ExtendedCommunity> extended,
                             std::vector<bgp::LargeCommunity> large) {
-  announce_prefix(prefix, {std::move(communities), std::move(extended), std::move(large)});
-}
-
-void MemberRouter::announce6(const net::Prefix6& prefix,
-                             std::vector<bgp::Community> communities,
-                             std::vector<bgp::ExtendedCommunity> extended) {
-  announce_prefix(prefix, {std::move(communities), std::move(extended), {}});
-}
-
-void MemberRouter::withdraw(const net::Prefix4& prefix) { withdraw_prefix(prefix); }
-
-void MemberRouter::withdraw6(const net::Prefix6& prefix) { withdraw_prefix(prefix); }
-
-template <typename PrefixT>
-void MemberRouter::announce_prefix(const PrefixT& prefix, AnnouncedAttrs attrs) {
   if (!session()) throw std::logic_error("MemberRouter: connect() before announcing");
-  send_announce(prefix, announced_.get<PrefixT>()[prefix] = std::move(attrs));
+  send_announce(prefix, announced_.get<PrefixT>()[prefix] = {std::move(communities),
+                                                             std::move(extended),
+                                                             std::move(large)});
 }
 
 template <typename PrefixT>
@@ -134,11 +122,20 @@ void MemberRouter::send_announce(const PrefixT& prefix, const AnnouncedAttrs& an
 }
 
 template <typename PrefixT>
-void MemberRouter::withdraw_prefix(const PrefixT& prefix) {
+void MemberRouter::withdraw(const PrefixT& prefix) {
   if (!session()) throw std::logic_error("MemberRouter: connect() before announcing");
   announced_.get<PrefixT>().erase(prefix);
   session()->announce(bgp::Afi<PrefixT>::withdraw(prefix));
 }
+
+template void MemberRouter::announce(const net::Prefix4&, std::vector<bgp::Community>,
+                                     std::vector<bgp::ExtendedCommunity>,
+                                     std::vector<bgp::LargeCommunity>);
+template void MemberRouter::announce(const net::Prefix6&, std::vector<bgp::Community>,
+                                     std::vector<bgp::ExtendedCommunity>,
+                                     std::vector<bgp::LargeCommunity>);
+template void MemberRouter::withdraw(const net::Prefix4&);
+template void MemberRouter::withdraw(const net::Prefix6&);
 
 void MemberRouter::update_policy(MemberPolicy policy) {
   info_.policy = policy;
@@ -176,7 +173,7 @@ bool MemberRouter::blackholes(net::IPv4Address dst) const {
   return in_blackhole<net::Prefix4>(dst);
 }
 
-bool MemberRouter::blackholes6(const net::IPv6Address& dst) const {
+bool MemberRouter::blackholes(const net::IPv6Address& dst) const {
   return in_blackhole<net::Prefix6>(dst);
 }
 

@@ -69,21 +69,20 @@ class MemberRouter {
   /// after unexpected session loss, and on every re-establishment requests a
   /// ROUTE-REFRESH and replays this router's own announcements — so a member
   /// that flaps converges back to its pre-failure signaling state without
-  /// operator action. Announcements made through announce()/announce6() are
-  /// replayed; raw session()->announce() traffic is not tracked.
+  /// operator action. Announcements made through announce() are replayed;
+  /// raw session()->announce() traffic is not tracked.
   void connect_resilient(bgp::ReconnectingSession::TransportFactory factory,
                          bgp::ReconnectPolicy policy);
 
-  /// Announces a prefix to the route server with optional communities.
-  void announce(const net::Prefix4& prefix, std::vector<bgp::Community> communities = {},
+  /// Announces a prefix (net::Prefix4 or net::Prefix6; IPv6 travels in
+  /// MP_REACH/MP_UNREACH, RFC 4760) to the route server with optional
+  /// communities, or withdraws it.
+  template <typename PrefixT>
+  void announce(const PrefixT& prefix, std::vector<bgp::Community> communities = {},
                 std::vector<bgp::ExtendedCommunity> extended = {},
                 std::vector<bgp::LargeCommunity> large = {});
-  void withdraw(const net::Prefix4& prefix);
-
-  /// IPv6 equivalents, carried in MP_REACH/MP_UNREACH (RFC 4760).
-  void announce6(const net::Prefix6& prefix, std::vector<bgp::Community> communities = {},
-                 std::vector<bgp::ExtendedCommunity> extended = {});
-  void withdraw6(const net::Prefix6& prefix);
+  template <typename PrefixT>
+  void withdraw(const PrefixT& prefix);
 
   /// Changes the member's import policy at runtime — the §2.4 remediation
   /// story: an operator fixes the config that filtered /32 blackholes. Sends
@@ -94,21 +93,19 @@ class MemberRouter {
   /// Ingress check used by the fabric: does this member's router currently
   /// send traffic for `dst` into the blackhole next-hop?
   [[nodiscard]] bool blackholes(net::IPv4Address dst) const;
-  [[nodiscard]] bool blackholes6(const net::IPv6Address& dst) const;
+  [[nodiscard]] bool blackholes(const net::IPv6Address& dst) const;
 
   [[nodiscard]] const MemberInfo& info() const { return info_; }
-  [[nodiscard]] const bgp::Rib& rib() const { return ribs_.v4; }
-  [[nodiscard]] const bgp::Rib6& rib6() const { return ribs_.v6; }
+  template <typename PrefixT = net::Prefix4>
+  [[nodiscard]] const bgp::BasicRib<PrefixT>& rib() const { return ribs_.get<PrefixT>(); }
   [[nodiscard]] bgp::Session* session() {
     return reconnector_ ? reconnector_->session() : session_.get();
   }
   /// Non-null after connect_resilient(): the recovery state machine.
   [[nodiscard]] bgp::ReconnectingSession* reconnector() { return reconnector_.get(); }
-  [[nodiscard]] const std::set<net::Prefix4>& blackholed_prefixes() const {
-    return blackholed_.v4;
-  }
-  [[nodiscard]] const std::set<net::Prefix6>& blackholed6_prefixes() const {
-    return blackholed_.v6;
+  template <typename PrefixT = net::Prefix4>
+  [[nodiscard]] const std::set<PrefixT>& blackholed_prefixes() const {
+    return blackholed_.get<PrefixT>();
   }
   [[nodiscard]] std::uint64_t rejected_more_specifics() const { return rejected_more_specifics_; }
 
@@ -133,11 +130,8 @@ class MemberRouter {
   /// Re-announces everything in announced_ (post-reconnect).
   void replay_announcements();
 
-  // Per-AFI implementations of the public IPv4/IPv6 pairs and of on_update.
-  template <typename PrefixT>
-  void announce_prefix(const PrefixT& prefix, AnnouncedAttrs attrs);
-  template <typename PrefixT>
-  void withdraw_prefix(const PrefixT& prefix);
+  // Per-AFI halves of replay_announcements, on_update, update_policy and
+  // blackholes.
   template <typename PrefixT>
   void send_announce(const PrefixT& prefix, const AnnouncedAttrs& attrs);
   template <typename PrefixT>

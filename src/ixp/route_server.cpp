@@ -242,15 +242,11 @@ bool RouteServer::import_accept(const MemberPeer& from, const PrefixT& prefix,
   // blackholing requests (standard or Advanced, the latter marked by IXP
   // extended or large communities).
   if (prefix.length() > bgp::Afi<PrefixT>::kMaxCommonLength) {
-    const bool advanced =
-        std::any_of(attrs.extended_communities.begin(), attrs.extended_communities.end(),
-                    [this](const bgp::ExtendedCommunity& ec) {
-                      return ec.as_number() == static_cast<std::uint16_t>(config_.asn);
-                    }) ||
-        std::any_of(attrs.large_communities.begin(), attrs.large_communities.end(),
-                    [this](const bgp::LargeCommunity& lc) {
-                      return lc.global_admin == config_.asn;
-                    });
+    const auto in_namespace = [this](const auto& c) {
+      return bgp::InIxpNamespace(c, config_.asn);
+    };
+    const bool advanced = std::ranges::any_of(attrs.extended_communities, in_namespace) ||
+                          std::ranges::any_of(attrs.large_communities, in_namespace);
     if (!attrs.has_community(bgp::kBlackhole) && !advanced) {
       ++rejects_.too_specific;
       return false;
@@ -363,12 +359,9 @@ bgp::PathAttributes RouteServer::member_export_attrs(const bgp::PathAttributes& 
     return c.asn() == 0 || c.asn() == static_cast<std::uint16_t>(config_.asn);
   });
   // Strip Stellar signaling communities (IXP namespace, both encodings).
-  std::erase_if(out.extended_communities, [this](const bgp::ExtendedCommunity& ec) {
-    return ec.as_number() == static_cast<std::uint16_t>(config_.asn);
-  });
-  std::erase_if(out.large_communities, [this](const bgp::LargeCommunity& lc) {
-    return lc.global_admin == config_.asn;
-  });
+  const auto in_namespace = [this](const auto& c) { return bgp::InIxpNamespace(c, config_.asn); };
+  std::erase_if(out.extended_communities, in_namespace);
+  std::erase_if(out.large_communities, in_namespace);
   // Classic RTBH: rewrite the next-hop so accepting members route the prefix
   // into the IXP's null interface.
   std::optional<typename bgp::Afi<PrefixT>::Address> next_hop;

@@ -79,7 +79,6 @@ class RouteServer {
   };
 
   using BlackholeEvent = BasicBlackholeEvent<net::Prefix4>;
-  using BlackholeEvent6 = BasicBlackholeEvent<net::Prefix6>;
 
   RouteServer(sim::EventQueue& queue, Config config);
 
@@ -101,12 +100,12 @@ class RouteServer {
   [[nodiscard]] bgp::Community announce_to_none() const;
 
   // -- Introspection ----------------------------------------------------------
-  [[nodiscard]] const bgp::Rib& adj_rib_in() const { return ribs_.v4; }
-  [[nodiscard]] const bgp::Rib6& adj_rib_in6() const { return ribs_.v6; }
+  template <typename PrefixT = net::Prefix4>
+  [[nodiscard]] const bgp::BasicRib<PrefixT>& adj_rib_in() const { return ribs_.get<PrefixT>(); }
   [[nodiscard]] const RejectStats& rejects() const { return rejects_; }
-  [[nodiscard]] const std::vector<BlackholeEvent>& blackhole_events() const { return events_.v4; }
-  [[nodiscard]] const std::vector<BlackholeEvent6>& blackhole_events6() const {
-    return events_.v6;
+  template <typename PrefixT = net::Prefix4>
+  [[nodiscard]] const std::vector<BasicBlackholeEvent<PrefixT>>& blackhole_events() const {
+    return events_.get<PrefixT>();
   }
   [[nodiscard]] std::size_t member_count() const { return members_.size(); }
   [[nodiscard]] std::size_t established_member_sessions() const;

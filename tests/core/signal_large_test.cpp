@@ -36,8 +36,8 @@ TEST(SignalLargeTest, IgnoresForeignNamespace) {
   const auto decoded = DecodeSignalLarge(kBigIxpAsn, lcs);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->rules.size(), 1u);
-  EXPECT_FALSE(HasStellarSignalLarge(kBigIxpAsn, {&lcs.back(), 1}));
-  EXPECT_TRUE(HasStellarSignalLarge(kBigIxpAsn, lcs));
+  EXPECT_FALSE(DecodeRouteSignal(kBigIxpAsn, {}, {&lcs.back(), 1}).value().has_value());
+  EXPECT_TRUE(DecodeRouteSignal(kBigIxpAsn, {}, lcs).value().has_value());
 }
 
 TEST(SignalLargeTest, RejectsUnknownKindAndOversizedValue) {
@@ -84,7 +84,7 @@ TEST(SignalLargeTest, EndToEndOn4ByteAsnIxp) {
 
   Signal signal;
   signal.rules.push_back({RuleKind::kUdpSrcPort, net::kPortNtp});
-  SignalAdvancedBlackholingLarge(victim, ixp.route_server(), P4("100.10.10.10/32"), signal);
+  SignalAdvancedBlackholing(victim, ixp.route_server(), P4("100.10.10.10/32"), signal);
   ixp.settle(10.0);
 
   EXPECT_EQ(ixp.edge_router().policy(victim.info().port).rule_count(), 1u);
@@ -119,8 +119,10 @@ TEST(SignalLargeTest, LargeCommunitiesStrippedOnMemberExport) {
 
   Signal signal;
   signal.rules.push_back({RuleKind::kUdpSrcPort, net::kPortNtp});
-  SignalAdvancedBlackholingLarge(victim, ixp.route_server(), P4("100.10.10.10/32"), signal,
-                                 /*also_propagate_to_members=*/true);
+  // Large communities on an IXP whose ASN would also fit the extended
+  // namespace, propagated to members (no announce-to-none).
+  victim.announce(P4("100.10.10.10/32"), {}, {},
+                  EncodeSignalLarge(ixp.config().asn, signal).value());
   ixp.settle(10.0);
 
   // A member RIB holds one path per prefix (the route server's).
@@ -155,7 +157,7 @@ TEST(SignalLargeTest, SignalSurvivesAMemberSessionFlap) {
 
   Signal signal;
   signal.rules.push_back({RuleKind::kUdpSrcPort, net::kPortNtp});
-  SignalAdvancedBlackholingLarge(victim, ixp.route_server(), P4("100.10.10.10/32"), signal);
+  SignalAdvancedBlackholing(victim, ixp.route_server(), P4("100.10.10.10/32"), signal);
   ixp.settle(10.0);
   ASSERT_EQ(stellar.controller().desired().size(), 1u);
   // The signal-path trace opens at the member's announcement, as it does
@@ -208,6 +210,67 @@ TEST(SignalLargeTest, MergedNamespacesUnionRules) {
   ixp.settle(10.0);
 
   EXPECT_EQ(ixp.edge_router().policy(victim.info().port).rule_count(), 2u);
+}
+
+TEST(SignalLargeTest, CrossNamespaceConflictingActionsAreInvalid) {
+  // Extended communities ask for 100 Mbps and large ones for 500 Mbps on the
+  // same route: an invalid signal, like two conflicting actions within one
+  // namespace. No rule is shaped at either rate.
+  sim::EventQueue queue;
+  ixp::Ixp ixp(queue);
+  ixp::MemberSpec v;
+  v.asn = 65001;
+  v.address_space = P4("100.10.10.0/24");
+  auto& victim = ixp.add_member(v);
+  StellarSystem stellar(ixp);
+  ixp.settle(30.0);
+
+  Signal ext_part;
+  ext_part.rules.push_back({RuleKind::kUdpSrcPort, net::kPortNtp});
+  ext_part.shape_rate_mbps = 100.0;
+  Signal large_part = ext_part;
+  large_part.shape_rate_mbps = 500.0;
+  const auto asn = ixp.config().asn;
+  victim.announce(P4("100.10.10.10/32"), {ixp.route_server().announce_to_none()},
+                  EncodeSignal(static_cast<std::uint16_t>(asn), ext_part).value(),
+                  EncodeSignalLarge(asn, large_part).value());
+  ixp.settle(10.0);
+
+  EXPECT_EQ(ixp.edge_router().policy(victim.info().port).rule_count(), 0u);
+  EXPECT_TRUE(stellar.controller().desired().empty());
+  EXPECT_EQ(stellar.controller().stats().invalid_signals, 1u);
+  EXPECT_EQ(stellar.controller().stats().signals_decoded, 0u);
+}
+
+TEST(SignalLargeTest, HelperPicksLargeNamespaceOn4ByteAsnIxp) {
+  // AS 4 200 000 000 truncates to AS 59904 in a two-octet field, so the
+  // helper must signal in large communities, and the controller decodes it.
+  constexpr std::uint32_t kAsn = 4'200'000'000;
+  sim::EventQueue queue;
+  ixp::Ixp::Config config;
+  config.asn = kAsn;
+  ixp::Ixp ixp(queue, config);
+  ixp::MemberSpec v;
+  v.asn = 65001;
+  v.address_space = P4("100.10.10.0/24");
+  auto& victim = ixp.add_member(v);
+  StellarSystem stellar(ixp);
+  ixp.settle(30.0);
+
+  Signal signal;
+  signal.rules.push_back({RuleKind::kUdpSrcPort, net::kPortNtp});
+  signal.shape_rate_mbps = 200.0;
+  SignalAdvancedBlackholing(victim, ixp.route_server(), P4("100.10.10.10/32"), signal);
+  ixp.settle(10.0);
+
+  const auto route = ixp.route_server().adj_rib_in().best(P4("100.10.10.10/32"));
+  ASSERT_TRUE(route.has_value());
+  EXPECT_TRUE(route->attrs.extended_communities.empty());
+  EXPECT_EQ(route->attrs.large_communities, EncodeSignalLarge(kAsn, signal).value());
+  EXPECT_EQ(stellar.controller().stats().signals_decoded, 1u);
+  EXPECT_EQ(stellar.controller().stats().invalid_signals, 0u);
+  ASSERT_EQ(stellar.controller().desired().size(), 1u);
+  EXPECT_EQ(stellar.controller().desired().begin()->second.rule.shape_rate_mbps, 200.0);
 }
 
 }  // namespace

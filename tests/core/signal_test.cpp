@@ -71,13 +71,14 @@ TEST(SignalCodecTest, IgnoresForeignNamespaces) {
   EXPECT_FALSE(decoded->is_shaping());
 }
 
-TEST(SignalCodecTest, HasStellarSignal) {
+TEST(SignalCodecTest, RouteDecodeTellsNoSignalApart) {
+  // nullopt: the route carries no community of the IXP's Stellar namespace.
   Signal signal;
   signal.rules.push_back({RuleKind::kUdpSrcPort, 123});
   const auto ecs = EncodeSignal(kIxp, signal).value();
-  EXPECT_TRUE(HasStellarSignal(kIxp, ecs));
-  EXPECT_FALSE(HasStellarSignal(64999, ecs));
-  EXPECT_FALSE(HasStellarSignal(kIxp, {}));
+  EXPECT_TRUE(DecodeRouteSignal(kIxp, ecs, {}).value().has_value());
+  EXPECT_FALSE(DecodeRouteSignal(64999, ecs, {}).value().has_value());
+  EXPECT_FALSE(DecodeRouteSignal(kIxp, {}, {}).value().has_value());
 }
 
 TEST(SignalCodecTest, RejectsUnknownKind) {

@@ -97,36 +97,36 @@ TEST(RouteRefreshTest, TighteningPolicyDropsV6MoreSpecifics) {
   MemberPolicy open;
   open.accepts_more_specifics = true;
   f.fixable->update_policy(open);
-  f.victim->announce6(P6("2001:678:a::1/128"), {bgp::kBlackhole});
+  f.victim->announce(P6("2001:678:a::1/128"), {bgp::kBlackhole});
   f.settle();
   const auto host = net::IPv6Address::Parse("2001:678:a::1").value();
-  ASSERT_TRUE(f.fixable->blackholes6(host));
+  ASSERT_TRUE(f.fixable->blackholes(host));
 
   MemberPolicy strict;
   strict.accepts_more_specifics = false;
   f.fixable->update_policy(strict);
-  EXPECT_FALSE(f.fixable->blackholes6(host));
-  EXPECT_TRUE(f.fixable->blackholed6_prefixes().empty());
-  EXPECT_FALSE(f.fixable->rib6().best(P6("2001:678:a::1/128")).has_value());
+  EXPECT_FALSE(f.fixable->blackholes(host));
+  EXPECT_TRUE(f.fixable->blackholed_prefixes<net::Prefix6>().empty());
+  EXPECT_FALSE(f.fixable->rib<net::Prefix6>().best(P6("2001:678:a::1/128")).has_value());
   // Routes at the /48 boundary stay.
-  EXPECT_TRUE(f.fixable->rib6().best(P6("2001:678:a::/48")).has_value());
+  EXPECT_TRUE(f.fixable->rib<net::Prefix6>().best(P6("2001:678:a::/48")).has_value());
   f.settle();
   // The refresh re-sent the /128 but the strict policy filters it again.
-  EXPECT_FALSE(f.fixable->blackholes6(host));
-  EXPECT_FALSE(f.fixable->rib6().best(P6("2001:678:a::1/128")).has_value());
+  EXPECT_FALSE(f.fixable->blackholes(host));
+  EXPECT_FALSE(f.fixable->rib<net::Prefix6>().best(P6("2001:678:a::1/128")).has_value());
 }
 
 TEST(RouteRefreshTest, Ipv6RefreshRecoversV6Blackhole) {
   RefreshFixture f;
-  f.victim->announce6(P6("2001:678:a::1/128"), {bgp::kBlackhole});
+  f.victim->announce(P6("2001:678:a::1/128"), {bgp::kBlackhole});
   f.settle();
-  EXPECT_FALSE(f.fixable->blackholes6(net::IPv6Address::Parse("2001:678:a::1").value()));
+  EXPECT_FALSE(f.fixable->blackholes(net::IPv6Address::Parse("2001:678:a::1").value()));
 
   MemberPolicy fixed;
   fixed.accepts_more_specifics = true;
   f.fixable->update_policy(fixed);
   f.settle();
-  EXPECT_TRUE(f.fixable->blackholes6(net::IPv6Address::Parse("2001:678:a::1").value()));
+  EXPECT_TRUE(f.fixable->blackholes(net::IPv6Address::Parse("2001:678:a::1").value()));
 }
 
 TEST(RouteRefreshTest, RefreshDoesNotLeakOtherMembersOwnRoutes) {

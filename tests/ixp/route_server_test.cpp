@@ -117,6 +117,48 @@ TEST(RouteServerTest, AcceptsBlackholeSlash32AndRewritesNextHop) {
   EXPECT_FALSE(f.m3->blackholes(net::IPv4Address(100, 10, 10, 10)));
 }
 
+TEST(RouteServerTest, FourByteIxpAsnHasNoExtendedNamespace) {
+  // AS 4 200 000 000 truncates to AS 59904 in a two-octet AS field. AS
+  // 59904's extended communities belong to AS 59904: they neither make a
+  // /32 an Advanced Blackholing request nor get stripped on export. The
+  // IXP's large communities still do both.
+  constexpr std::uint32_t kAsn = 4'200'000'000;
+  constexpr std::uint16_t kTruncated = 59904;
+  static_assert(static_cast<std::uint16_t>(kAsn) == kTruncated);
+  sim::EventQueue queue;
+  Ixp::Config config;
+  config.asn = kAsn;
+  Ixp ixp(queue, config);
+  MemberSpec s1;
+  s1.asn = 65001;
+  s1.address_space = P4("100.10.10.0/24");
+  auto& m1 = ixp.add_member(s1);
+  MemberSpec s2;
+  s2.asn = 65002;
+  s2.address_space = P4("60.2.0.0/20");
+  s2.policy.accepts_more_specifics = true;
+  auto& m2 = ixp.add_member(s2);
+  ixp.settle(30.0);
+
+  const auto route_target = bgp::ExtendedCommunity::TwoOctetAs(
+      bgp::ExtendedCommunity::kSubTypeRouteTarget, kTruncated, 1);
+  m1.announce(P4("100.10.10.0/24"), {}, {route_target});
+  m1.announce(P4("100.10.10.10/32"), {},
+              {bgp::ExtendedCommunity::TwoOctetAs(0x80, kTruncated, 7)});
+  m1.announce(P4("100.10.10.20/32"), {}, {}, {bgp::LargeCommunity{kAsn, 0x80u << 24, 7}});
+  ixp.settle(10.0);
+
+  EXPECT_EQ(ixp.route_server().rejects().too_specific, 1u);
+  EXPECT_FALSE(ixp.route_server().adj_rib_in().best(P4("100.10.10.10/32")).has_value());
+  EXPECT_FALSE(m2.rib().best(P4("100.10.10.10/32")).has_value());
+  const auto covering = m2.rib().best(P4("100.10.10.0/24"));
+  ASSERT_TRUE(covering.has_value());
+  EXPECT_EQ(covering->attrs.extended_communities, std::vector{route_target});
+  const auto signaled = m2.rib().best(P4("100.10.10.20/32"));
+  ASSERT_TRUE(signaled.has_value());
+  EXPECT_TRUE(signaled->attrs.large_communities.empty());
+}
+
 TEST(RouteServerTest, ScopeExcludePeer) {
   RsFixture f;
   f.m1->announce(P4("100.10.10.10/32"),

@@ -7,7 +7,7 @@
 // too-specific and origin-mismatch announcements, import-policy tightening
 // and relaxing, ROUTE-REFRESH per AFI, and a session kill answered by
 // connect_resilient replay. The digest covers every link's UPDATE byte
-// stream (tapped through bgp::SetLinkHook), each member's rib()/rib6()
+// stream (tapped through bgp::SetLinkHook), each member's rib<PrefixT>()
 // snapshots and blackholed sets, the route server's Adj-RIB-Ins and its
 // rejects(). Blackhole events are deliberately left out: they have their own
 // tests.
@@ -238,7 +238,7 @@ struct Script {
         const auto prefix = host6(m);
         auto communities = scope(m);
         communities.push_back(bgp::kBlackhole);
-        member.announce6(prefix, communities);
+        member.announce(prefix, communities);
         announced6.emplace_back(m, prefix);
         break;
       }
@@ -247,7 +247,7 @@ struct Script {
         announced4.emplace_back(m, member.info().address_space);
         break;
       case Op::kScoped6:
-        member.announce6(*member.info().address_space6, scope(m));
+        member.announce(*member.info().address_space6, scope(m));
         announced6.emplace_back(m, *member.info().address_space6);
         break;
       case Op::kWithdraw4:
@@ -262,7 +262,7 @@ struct Script {
         if (!announced6.empty()) {
           const auto i = static_cast<std::size_t>(
               rng.uniform_int(0, static_cast<std::int64_t>(announced6.size()) - 1));
-          members[announced6[i].first]->withdraw6(announced6[i].second);
+          members[announced6[i].first]->withdraw(announced6[i].second);
           announced6.erase(announced6.begin() + static_cast<std::ptrdiff_t>(i));
         }
         break;
@@ -270,21 +270,21 @@ struct Script {
         if (rng.chance(0.5)) {
           member.announce(P4("61.0.0.0/20"), scope(m));
         } else {
-          member.announce6(P6("2001:999::/32"), scope(m));
+          member.announce(P6("2001:999::/32"), scope(m));
         }
         break;
       case Op::kBogon:
         if (rng.chance(0.5)) {
           member.announce(P4("10.1.0.0/16"));
         } else {
-          member.announce6(P6("2001:db8::/32"));
+          member.announce(P6("2001:db8::/32"));
         }
         break;
       case Op::kTooSpecific:
         if (rng.chance(0.5)) {
           member.announce(host4(m), scope(m));
         } else {
-          member.announce6(host6(m), scope(m));
+          member.announce(host6(m), scope(m));
         }
         break;
       case Op::kOriginMismatch: {
@@ -356,14 +356,14 @@ struct Script {
     for (const MemberRouter* member : members) {
       d.add("member " + std::to_string(member->info().asn));
       digest_rib(d, member->rib());
-      digest_rib(d, member->rib6());
+      digest_rib(d, member->rib<net::Prefix6>());
       for (const auto& p : member->blackholed_prefixes()) d.add(p.str());
-      for (const auto& p : member->blackholed6_prefixes()) d.add(p.str());
+      for (const auto& p : member->blackholed_prefixes<net::Prefix6>()) d.add(p.str());
       d.add(std::to_string(member->rejected_more_specifics()));
     }
     const RouteServer& rs = ixp->route_server();
     digest_rib(d, rs.adj_rib_in());
-    digest_rib(d, rs.adj_rib_in6());
+    digest_rib(d, rs.adj_rib_in<net::Prefix6>());
     const auto& r = rs.rejects();
     d.add(std::to_string(r.bogon) + " " + std::to_string(r.irr_unauthorized) + " " +
           std::to_string(r.rpki_invalid) + " " + std::to_string(r.too_specific) + " " +
@@ -400,7 +400,7 @@ TEST(AfiParityTest, ScriptExercisesEveryPath) {
   EXPECT_GT(rs.rejects().too_specific, 0u);
   EXPECT_GT(rs.rejects().origin_mismatch, 0u);
   EXPECT_FALSE(rs.blackhole_events().empty());
-  EXPECT_FALSE(rs.blackhole_events6().empty());
+  EXPECT_FALSE(rs.blackhole_events<net::Prefix6>().empty());
   EXPECT_GE(script.members[0]->reconnector()->stats().reconnects, 1u);
   EXPECT_TRUE(script.members[0]->session()->established());
   std::size_t rejected = 0;

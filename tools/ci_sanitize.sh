@@ -74,8 +74,9 @@ done
 # Example smoke tests: the seven examples/ programs drive the public API the
 # way a user's program would (signal -> rule install -> egress QoS ->
 # telemetry, RTBH vs Stellar, the SDX and ISP deployments, replay of a
-# synthesized capture); each must exit 0 with no sanitizer report.
+# synthesized capture); each must exit 0 with no sanitizer report. They run
+# in the build tree, where trace_replay writes its default output file.
 for example in quickstart memcached_multitenant telemetry_shaping rtbh_vs_stellar \
                sdx_option isp_deployment trace_replay; do
-  "$BUILD_DIR"/examples/"$example"
+  (cd "$BUILD_DIR" && ./examples/"$example")
 done
