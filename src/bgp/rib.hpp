@@ -14,8 +14,8 @@
 // written once over the prefix type.
 //
 // Routes go in and come out borrowed: insert() takes a BasicRouteView of the
-// caller's attributes (a received UPDATE's, shared by every receiver of a
-// fan-out) and interns them, copying only on a pool miss; best(),
+// caller's attributes (a received UPDATE's) and interns them, copying only
+// on a pool miss; best(),
 // for_each() and visit_prefix() hand out views of the stored, interned
 // attributes, and find() shares them. No read copies a route out of a RIB;
 // the owned BasicRoute is a fixture type.

@@ -20,16 +20,16 @@ const FramePtr& KeepaliveFrame() {
 // ---------------------------------------------------------------------------
 // Frame / SharedUpdate.
 
-const Message* Frame::message(const CodecOptions& codec) const {
+const Frame::Decoded& Frame::decode(const CodecOptions& codec) const {
   for (const Decoded& d : decoded_) {
-    if (d.codec == codec) return d.message ? &*d.message : nullptr;
+    if (d.codec == codec) return d;
   }
-  Decoded& d = decoded_.emplace_front(Decoded{codec, std::nullopt});
+  Decoded& d = decoded_.emplace_front(Decoded{codec, std::nullopt, nullptr});
   auto framed = DecodeFramed(bytes_, codec);
   if (framed.ok() && framed->message && framed->consumed == bytes_.size()) {
     d.message = std::move(framed->message);
   }
-  return d.message ? &*d.message : nullptr;
+  return d;
 }
 
 const FramePtr& SharedUpdate::frame(const CodecOptions& codec) {
@@ -69,15 +69,51 @@ void Endpoint::transmit(FramePtr frame) {
   deliver_at(queue_->now() + delay, std::move(peer), std::move(frame));
 }
 
-void Endpoint::deliver_at(sim::SimTime at, std::shared_ptr<Endpoint> peer, FramePtr frame) {
-  queue_->schedule_at(at, [self = self_, peer = std::move(peer), frame = std::move(frame)] {
-    if (peer->closed_ || !peer->on_receive_) {
-      // Closed while the bytes were in flight: account them as lost.
-      if (auto s = self.lock()) s->dropped_bytes_.inc(frame->bytes().size());
+class Endpoint::Delivery final : public sim::EventQueue::Batch {
+ public:
+  explicit Delivery(FramePtr frame) : frame_(std::move(frame)) {}
+
+  void add(std::shared_ptr<Endpoint> peer) {
+    if (first_ == nullptr) {
+      first_ = std::move(peer);
+    } else {
+      rest_.push_back(std::move(peer));
+    }
+  }
+
+  void run() override {
+    arrive(*first_);
+    for (const auto& peer : rest_) arrive(*peer);
+  }
+
+ private:
+  void arrive(Endpoint& peer) const {
+    if (peer.closed_ || !peer.on_receive_) {
+      // Closed while the bytes were in flight: account them as lost, at the
+      // sender (the peer's peer), if it still exists.
+      if (auto sender = peer.peer_.lock()) sender->dropped_bytes_.inc(frame_->bytes().size());
       return;
     }
-    peer->on_receive_(*frame);
-  });
+    peer.on_receive_(*frame_);
+  }
+
+  FramePtr frame_;
+  /// Receiving ends, in send order. The first is inline: most frames go to
+  /// one peer (no group, or a link with a private copy).
+  std::shared_ptr<Endpoint> first_;
+  std::vector<std::shared_ptr<Endpoint>> rest_;
+};
+
+void Endpoint::deliver_at(sim::SimTime at, std::shared_ptr<Endpoint> peer, FramePtr frame) {
+  // The frame is the batch's tag: the Delivery keeps it alive while queued.
+  const Frame* tag = frame.get();
+  auto* delivery = static_cast<Delivery*>(queue_->join_batch(at, tag));
+  if (delivery == nullptr) {
+    auto opened = std::make_unique<Delivery>(std::move(frame));
+    delivery = opened.get();
+    queue_->open_batch(at, tag, std::move(opened));
+  }
+  delivery->add(std::move(peer));
 }
 
 void Endpoint::send(std::vector<std::uint8_t> bytes) {
@@ -125,8 +161,6 @@ std::pair<std::shared_ptr<Endpoint>, std::shared_ptr<Endpoint>> MakeLink(sim::Ev
   b->queue_ = &queue;
   a->latency_ = latency;
   b->latency_ = latency;
-  a->self_ = a;
-  b->self_ = b;
   a->peer_ = b;
   b->peer_ = a;
   if (g_link_hook) g_link_hook(a, b);
@@ -230,9 +264,10 @@ void Session::on_frame(const Frame& frame) {
   // the frame, once for every session that shares it under the same rx
   // codec.
   if (rx_buffer_.empty()) {
-    if (const Message* msg = frame.message(rx_codec_)) {
+    const Frame::Decoded& decoded = frame.decode(rx_codec_);
+    if (decoded.message) {
       arm_hold_timer();
-      handle_message(*msg);
+      handle_message(*decoded.message, decoded.attrs);
       return;
     }
   }
@@ -256,7 +291,8 @@ void Session::on_bytes(std::span<const std::uint8_t> bytes) {
     rx_buffer_.erase(rx_buffer_.begin(),
                      rx_buffer_.begin() + static_cast<std::ptrdiff_t>(framed->consumed));
     arm_hold_timer();
-    handle_message(*framed->message);
+    std::shared_ptr<const PathAttributes> attrs;
+    handle_message(*framed->message, attrs);
     if (state_ == SessionState::kClosed) return;
   }
 }
@@ -265,7 +301,7 @@ void Session::on_transport_closed() {
   set_state(SessionState::kClosed);
 }
 
-void Session::handle_message(const Message& msg) {
+void Session::handle_message(const Message& msg, std::shared_ptr<const PathAttributes>& attrs) {
   switch (TypeOf(msg)) {
     case MessageType::kOpen:
       handle_open(std::get<OpenMessage>(msg));
@@ -280,7 +316,7 @@ void Session::handle_message(const Message& msg) {
         return;
       }
       ++updates_received_;
-      if (on_update_) on_update_(std::get<UpdateMessage>(msg));
+      if (on_update_) on_update_(ReceivedUpdate(std::get<UpdateMessage>(msg), attrs));
       break;
     case MessageType::kNotification:
       transport_->close();

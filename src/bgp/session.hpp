@@ -21,6 +21,15 @@
 //     decoded message; the FSM checks (UPDATE outside Established, ...) are
 //     the same as on the reassembly path. Partial, coalesced or corrupt
 //     input takes the stream-reassembly path.
+//   - Deliver once per group. Sends of one frame that arrive at one instant
+//     and take consecutive sequence numbers share one queued event, which
+//     makes the arrivals in send order (EventQueue::join_batch; DESIGN §8,
+//     coalesced delivery). A group's sends over lazy links take no other
+//     number, so its fan-out is one event; a timer arm between two sends
+//     (an eager link) splits it.
+//   - Intern once per frame. The update handler gets a ReceivedUpdate whose
+//     attrs() interns on first use and keeps the result with the frame's
+//     decode, so the receivers of a fan-out share one intern per rx codec.
 //   - Private copies under fault filters. A link with a fault filter copies
 //     the frame before the filter may touch it, so a corrupting link never
 //     changes the bytes another peer receives.
@@ -76,6 +85,7 @@
 #include <utility>
 #include <vector>
 
+#include "bgp/intern.hpp"
 #include "bgp/message.hpp"
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
@@ -98,13 +108,21 @@ class Frame {
   /// exactly one complete, well-formed message. Decoded on the first call per
   /// codec; later calls return the same object, which lives as long as the
   /// frame.
-  [[nodiscard]] const Message* message(const CodecOptions& codec) const;
+  [[nodiscard]] const Message* message(const CodecOptions& codec) const {
+    const Decoded& d = decode(codec);
+    return d.message ? &*d.message : nullptr;
+  }
 
  private:
+  friend class Session;
+
   struct Decoded {
     CodecOptions codec;
     std::optional<Message> message;
+    /// An UPDATE's attributes, interned on the first ReceivedUpdate::attrs().
+    mutable std::shared_ptr<const PathAttributes> attrs;
   };
+  [[nodiscard]] const Decoded& decode(const CodecOptions& codec) const;
 
   std::vector<std::uint8_t> bytes_;
   /// One entry per codec asked for; a list, so a returned pointer stays
@@ -127,6 +145,29 @@ class SharedUpdate {
  private:
   UpdateMessage update_;
   std::vector<std::pair<CodecOptions, FramePtr>> frames_;
+};
+
+/// An UPDATE as a Session hands it to its handler, valid for that call.
+/// Converts to the message, so a handler may take `const UpdateMessage&`.
+class ReceivedUpdate {
+ public:
+  ReceivedUpdate(const UpdateMessage& message, std::shared_ptr<const PathAttributes>& attrs)
+      : message_(message), attrs_(attrs) {}
+
+  [[nodiscard]] const UpdateMessage& message() const { return message_; }
+  operator const UpdateMessage&() const { return message_; }  // NOLINT: implicit by design.
+  /// The message's attributes, interned (AttrPool::global()) on the first
+  /// call. An UPDATE that came as a frame of its own keeps them with the
+  /// frame's decode, so the receivers of a fan-out share one intern per rx
+  /// codec.
+  [[nodiscard]] const std::shared_ptr<const PathAttributes>& attrs() const {
+    if (attrs_ == nullptr) attrs_ = Intern(message_.attrs);
+    return attrs_;
+  }
+
+ private:
+  const UpdateMessage& message_;
+  std::shared_ptr<const PathAttributes>& attrs_;
 };
 
 /// One side of an in-memory duplex byte pipe.
@@ -179,14 +220,18 @@ class Endpoint {
       sim::EventQueue& queue, sim::Duration latency);
   friend class Session;
 
+  /// Arrivals of one frame at one instant, queued as one event.
+  class Delivery;
+
   /// send() without the lazy-upkeep check: a session's own messages.
   void transmit(FramePtr frame);
-  /// Queues the arrival of `frame` at `peer` at instant `at`.
+  /// Queues the arrival of `frame` at `peer` at instant `at`: joins the
+  /// frame's open Delivery for that instant when it may (see
+  /// EventQueue::join_batch), else opens one.
   void deliver_at(sim::SimTime at, std::shared_ptr<Endpoint> peer, FramePtr frame);
 
   sim::EventQueue* queue_ = nullptr;
   sim::Duration latency_{0.0};
-  std::weak_ptr<Endpoint> self_;  ///< For stats updates from queued events.
   std::weak_ptr<Endpoint> peer_;
   ReceiveHandler on_receive_;
   CloseHandler on_close_;
@@ -232,7 +277,7 @@ struct SessionConfig {
 /// A point-to-point BGP session over an Endpoint.
 class Session {
  public:
-  using UpdateHandler = std::function<void(const UpdateMessage&)>;
+  using UpdateHandler = std::function<void(const ReceivedUpdate&)>;
   using StateHandler = std::function<void(SessionState)>;
   using RefreshHandler = std::function<void(const RouteRefreshMessage&)>;
 
@@ -291,7 +336,8 @@ class Session {
   void on_frame(const Frame& frame);
   void on_bytes(std::span<const std::uint8_t> bytes);
   void on_transport_closed();
-  void handle_message(const Message& msg);
+  /// `attrs` memoises an UPDATE's interned attributes (ReceivedUpdate).
+  void handle_message(const Message& msg, std::shared_ptr<const PathAttributes>& attrs);
   void handle_open(const OpenMessage& open);
   void enter_established();
   template <typename M>

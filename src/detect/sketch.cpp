@@ -23,8 +23,11 @@ std::uint64_t Mix64(std::uint64_t x) {
 CountMinSketch::CountMinSketch(std::size_t width, std::size_t depth, std::uint64_t seed)
     : width_(std::max<std::size_t>(width, 1)),
       depth_(std::max<std::size_t>(depth, 1)),
-      seed_(seed),
-      table_(width_ * depth_, 0) {}
+      table_(width_ * depth_, 0),
+      row_seeds_(depth_),
+      cells_(depth_) {
+  for (std::size_t row = 0; row < depth_; ++row) row_seeds_[row] = Mix64(seed + row);
+}
 
 CountMinSketch CountMinSketch::ForError(double eps, double delta, std::uint64_t seed) {
   assert(eps > 0.0 && delta > 0.0 && delta < 1.0);
@@ -34,22 +37,21 @@ CountMinSketch CountMinSketch::ForError(double eps, double delta, std::uint64_t 
 }
 
 std::size_t CountMinSketch::cell(std::size_t row, std::uint64_t key) const {
-  return row * width_ + static_cast<std::size_t>(Mix64(key ^ Mix64(seed_ + row)) % width_);
+  return row * width_ + static_cast<std::size_t>(Mix64(key ^ row_seeds_[row]) % width_);
 }
 
 void CountMinSketch::add(std::uint64_t key, std::uint64_t count) {
   if (count == 0) return;
   // Conservative update: raise only the cells below the new lower bound
-  // (current estimate + count); cells already above it stay untouched.
+  // (current estimate + count); cells already above it stay untouched. Each
+  // row's cell is hashed once.
   std::uint64_t est = UINT64_MAX;
   for (std::size_t row = 0; row < depth_; ++row) {
-    est = std::min(est, table_[cell(row, key)]);
+    cells_[row] = cell(row, key);
+    est = std::min(est, table_[cells_[row]]);
   }
   const std::uint64_t target = est + count;
-  for (std::size_t row = 0; row < depth_; ++row) {
-    std::uint64_t& c = table_[cell(row, key)];
-    c = std::max(c, target);
-  }
+  for (const std::size_t i : cells_) table_[i] = std::max(table_[i], target);
   total_ += count;
 }
 

@@ -58,9 +58,10 @@ class CountMinSketch {
 
   std::size_t width_;
   std::size_t depth_;
-  std::uint64_t seed_;
   std::uint64_t total_ = 0;
-  std::vector<std::uint64_t> table_;  ///< depth_ rows of width_ cells.
+  std::vector<std::uint64_t> table_;      ///< depth_ rows of width_ cells.
+  std::vector<std::uint64_t> row_seeds_;  ///< Per row: Mix64(seed + row).
+  std::vector<std::size_t> cells_;        ///< add()'s cells, one per row.
 };
 
 /// Space-saving heavy hitter tracker (Metwally et al.): at most `capacity`

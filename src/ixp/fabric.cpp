@@ -29,10 +29,7 @@ bool Fabric::lookup_egress(net::IPv4Address dst, filter::PortId& port_out) const
 
 Fabric::BinReport Fabric::deliver(std::span<const net::FlowSample> offered, double bin_s) {
   BinReport report;
-  // (egress port, offered index) of every routed flow. Sorted, each port's
-  // run lists its flows in arrival order.
-  std::vector<std::pair<filter::PortId, std::size_t>> routed;
-  routed.reserve(offered.size());
+  routed_.clear();
 
   for (std::size_t i = 0; i < offered.size(); ++i) {
     const net::FlowSample& sample = offered[i];
@@ -48,21 +45,21 @@ Fabric::BinReport Fabric::deliver(std::span<const net::FlowSample> offered, doub
       report.rtbh_dropped_peers.insert(sample.key.src_mac);
       continue;
     }
-    routed.emplace_back(egress, i);
+    routed_.emplace_back(egress, i);
   }
-  std::sort(routed.begin(), routed.end());
+  // Sorted, each port's run lists its flows in arrival order.
+  std::sort(routed_.begin(), routed_.end());
 
-  report.delivered.reserve(routed.size());
-  std::vector<net::FlowSample> demand;
-  for (auto run = routed.begin(); run != routed.end();) {
+  report.delivered.reserve(routed_.size());
+  for (auto run = routed_.begin(); run != routed_.end();) {
     const filter::PortId port = run->first;
-    demand.clear();
-    for (; run != routed.end() && run->first == port; ++run) {
-      demand.push_back(offered[run->second]);
+    demand_.clear();
+    for (; run != routed_.end() && run->first == port; ++run) {
+      demand_.push_back(offered[run->second]);
     }
     // Egress QoS at the member port: the port's policy, then congestion
     // against the member's port capacity.
-    filter::PortBinResult result = edge_router_.deliver(port, demand, bin_s);
+    filter::PortBinResult result = edge_router_.deliver(port, demand_, bin_s);
     report.delivered_mbps += result.delivered_mbps;
     report.rule_dropped_mbps += result.rule_dropped_mbps;
     report.shaper_dropped_mbps += result.shaper_dropped_mbps;

@@ -68,6 +68,11 @@ class Fabric {
   std::array<std::unordered_map<std::uint32_t, filter::PortId>, 33> owners_;
   std::uint64_t owner_lengths_ = 0;
   IngressBlackholeFn ingress_blackhole_;
+  /// deliver()'s scratch, kept across bins so a bin allocates only its
+  /// report: (egress port, offered index) of every routed flow, and the
+  /// flows of the port being delivered.
+  std::vector<std::pair<filter::PortId, std::size_t>> routed_;
+  std::vector<net::FlowSample> demand_;
 };
 
 }  // namespace stellar::ixp

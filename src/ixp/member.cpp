@@ -32,7 +32,7 @@ void MemberRouter::connect(std::shared_ptr<bgp::Endpoint> transport) {
   config.router_id = info_.router_ip;
   config.announce_ipv6_unicast = info_.address_space6.has_value();
   session_ = std::make_unique<bgp::Session>(queue_, std::move(transport), config);
-  session_->set_update_handler([this](const bgp::UpdateMessage& u) { on_update(u); });
+  session_->set_update_handler([this](const bgp::ReceivedUpdate& u) { on_update(u); });
   session_->set_state_handler([this](bgp::SessionState state) { on_state(state); });
   session_->start();
 }
@@ -46,7 +46,7 @@ void MemberRouter::connect_resilient(bgp::ReconnectingSession::TransportFactory 
   config.announce_ipv6_unicast = info_.address_space6.has_value();
   reconnector_ = std::make_unique<bgp::ReconnectingSession>(queue_, std::move(factory),
                                                             config, policy);
-  reconnector_->set_update_handler([this](const bgp::UpdateMessage& u) { on_update(u); });
+  reconnector_->set_update_handler([this](const bgp::ReceivedUpdate& u) { on_update(u); });
   reconnector_->set_state_handler([this](bgp::SessionState state) { on_state(state); });
   reconnector_->set_established_handler([this](bgp::Session& session) {
     // Resync both directions on every establishment (including the first —
@@ -154,19 +154,12 @@ void MemberRouter::update_policy(MemberPolicy policy) {
 
 template <typename PrefixT>
 void MemberRouter::evict_more_specifics() {
-  // One path per prefix, learned from the route server (peer 0) without
-  // ADD-PATH.
-  auto& rib = ribs_.get<PrefixT>();
-  std::vector<PrefixT> evicted;
-  rib.for_each([&](const bgp::BasicRouteView<PrefixT>& route) {
-    if (route.prefix.length() > bgp::Afi<PrefixT>::kMaxCommonLength) {
-      evicted.push_back(route.prefix);
-    }
+  auto& blackholed = blackholed_.get<PrefixT>();
+  std::erase_if(ribs_.get<PrefixT>().routes_, [&](const auto& route) {
+    if (route.first.length() <= bgp::Afi<PrefixT>::kMaxCommonLength) return false;
+    blackholed.erase(route.first);
+    return true;
   });
-  for (const auto& prefix : evicted) {
-    rib.withdraw(prefix, 0);
-    blackholed_.get<PrefixT>().erase(prefix);
-  }
 }
 
 bool MemberRouter::blackholes(net::IPv4Address dst) const {
@@ -187,28 +180,30 @@ bool MemberRouter::in_blackhole(const typename bgp::Afi<PrefixT>::Address& dst) 
   return false;
 }
 
-void MemberRouter::on_update(const bgp::UpdateMessage& update) {
+void MemberRouter::on_update(const bgp::ReceivedUpdate& update) {
   import_update<net::Prefix4>(update);
   import_update<net::Prefix6>(update);
 }
 
 template <typename PrefixT>
-void MemberRouter::import_update(const bgp::UpdateMessage& update) {
+void MemberRouter::import_update(const bgp::ReceivedUpdate& received) {
   using Afi = bgp::Afi<PrefixT>;
-  auto& rib = ribs_.get<PrefixT>();
+  const bgp::UpdateMessage& update = received.message();
+  auto& routes = ribs_.get<PrefixT>().routes_;
   auto& blackholed = blackholed_.get<PrefixT>();
-  Afi::for_each_withdrawn(update, [&](const PrefixT& prefix, bgp::PathId path_id) {
-    rib.withdraw(prefix, 0, path_id);
+  // One path per prefix (no ADD-PATH): the path-id is always 0.
+  Afi::for_each_withdrawn(update, [&](const PrefixT& prefix, bgp::PathId) {
+    routes.erase(prefix);
     blackholed.erase(prefix);
   });
-  Afi::for_each_announced(update, [&](const PrefixT& prefix, bgp::PathId path_id) {
+  Afi::for_each_announced(update, [&](const PrefixT& prefix, bgp::PathId) {
     // Default import filter: reject more-specifics (the blackhole adoption
     // barrier) unless the member configured the exception.
     if (prefix.length() > Afi::kMaxCommonLength && !info_.policy.accepts_more_specifics) {
       ++rejected_more_specifics_;
       return;
     }
-    rib.insert({prefix, 0, path_id, update.attrs});
+    routes[prefix] = received.attrs();
 
     const bool is_blackhole_route =
         update.attrs.has_community(bgp::kBlackhole) &&

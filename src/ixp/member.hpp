@@ -8,11 +8,14 @@
 // /24 — honoring a /32 RTBH route requires an explicit exception.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bgp/reconnect.hpp"
@@ -50,6 +53,61 @@ struct MemberInfo {
   net::Prefix4 address_space;      ///< The prefix this member originates.
   std::optional<net::Prefix6> address_space6;  ///< Optional IPv6 allocation.
   MemberPolicy policy;
+};
+
+/// A member router's received routes. The router has one session to the
+/// route server and no ADD-PATH, so a prefix has at most one path: a flat
+/// hash table of prefix -> interned attributes, each import one write. The
+/// reads are those of bgp::BasicRib that a single-path table answers;
+/// for_each() and prefixes() sort, so they run in prefix order.
+template <typename PrefixT>
+class MemberRib {
+ public:
+  using View = bgp::BasicRouteView<PrefixT>;
+
+  /// The prefix's route as a view, valid while the RIB is not mutated.
+  [[nodiscard]] std::optional<View> best(const PrefixT& prefix) const {
+    const auto it = routes_.find(prefix);
+    if (it == routes_.end()) return std::nullopt;
+    return View{it->first, 0, 0, *it->second};
+  }
+  /// Interned attributes of the prefix's route, or nullptr.
+  [[nodiscard]] std::shared_ptr<const bgp::PathAttributes> find(const PrefixT& prefix) const {
+    const auto it = routes_.find(prefix);
+    return it == routes_.end() ? nullptr : it->second;
+  }
+  /// Visits the prefix's route, if any. Do not mutate the RIB from `fn`.
+  void visit_prefix(const PrefixT& prefix, const std::function<void(const View&)>& fn) const {
+    if (const auto route = best(prefix)) fn(*route);
+  }
+  /// Visits every route in prefix order. Do not mutate the RIB from `fn`.
+  void for_each(const std::function<void(const View&)>& fn) const {
+    for (const auto* route : sorted()) fn(View{route->first, 0, 0, *route->second});
+  }
+  /// All prefixes, in order.
+  [[nodiscard]] std::vector<PrefixT> prefixes() const {
+    std::vector<PrefixT> out;
+    out.reserve(routes_.size());
+    for (const auto* route : sorted()) out.push_back(route->first);
+    return out;
+  }
+  [[nodiscard]] std::size_t size() const { return routes_.size(); }
+  [[nodiscard]] bool empty() const { return routes_.empty(); }
+
+ private:
+  friend class MemberRouter;
+
+  using Table = std::unordered_map<PrefixT, std::shared_ptr<const bgp::PathAttributes>>;
+
+  [[nodiscard]] std::vector<const typename Table::value_type*> sorted() const {
+    std::vector<const typename Table::value_type*> out;
+    out.reserve(routes_.size());
+    for (const auto& route : routes_) out.push_back(&route);
+    std::sort(out.begin(), out.end(), [](const auto* a, const auto* b) { return a->first < b->first; });
+    return out;
+  }
+
+  Table routes_;
 };
 
 /// The member's border router facing the IXP: one eBGP session to the route
@@ -97,7 +155,7 @@ class MemberRouter {
 
   [[nodiscard]] const MemberInfo& info() const { return info_; }
   template <typename PrefixT = net::Prefix4>
-  [[nodiscard]] const bgp::BasicRib<PrefixT>& rib() const { return ribs_.get<PrefixT>(); }
+  [[nodiscard]] const MemberRib<PrefixT>& rib() const { return ribs_.get<PrefixT>(); }
   [[nodiscard]] bgp::Session* session() {
     return reconnector_ ? reconnector_->session() : session_.get();
   }
@@ -121,7 +179,7 @@ class MemberRouter {
   template <typename PrefixT>
   using PrefixSet = std::set<PrefixT>;
 
-  void on_update(const bgp::UpdateMessage& update);
+  void on_update(const bgp::ReceivedUpdate& update);
   /// Flushes every route learned from the route server when the session closes.
   void on_state(bgp::SessionState state);
   void teardown_session();
@@ -135,7 +193,7 @@ class MemberRouter {
   template <typename PrefixT>
   void send_announce(const PrefixT& prefix, const AnnouncedAttrs& attrs);
   template <typename PrefixT>
-  void import_update(const bgp::UpdateMessage& update);
+  void import_update(const bgp::ReceivedUpdate& update);
   /// Drops accepted routes past the AFI's more-specific boundary.
   template <typename PrefixT>
   void evict_more_specifics();
@@ -149,8 +207,10 @@ class MemberRouter {
   std::unique_ptr<bgp::Session> session_;
   std::unique_ptr<bgp::ReconnectingSession> reconnector_;
   bgp::PerAfi<AnnouncedMap> announced_;
-  bgp::PerAfi<bgp::BasicRib> ribs_;    ///< Accepted routes from the route server.
-  bgp::PerAfi<PrefixSet> blackholed_;  ///< Prefixes routed into the blackhole.
+  bgp::PerAfi<MemberRib> ribs_;        ///< Accepted routes from the route server.
+  /// Prefixes routed into the blackhole, kept apart from ribs_ so the
+  /// fabric's per-flow blackholes() scans only them.
+  bgp::PerAfi<PrefixSet> blackholed_;
   std::uint64_t rejected_more_specifics_ = 0;
 };
 

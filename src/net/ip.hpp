@@ -150,3 +150,10 @@ struct std::hash<stellar::net::IPv6Address> {
     return std::hash<std::uint64_t>{}(hi) ^ (std::hash<std::uint64_t>{}(lo) << 1);
   }
 };
+
+template <>
+struct std::hash<stellar::net::Prefix6> {
+  std::size_t operator()(const stellar::net::Prefix6& p) const noexcept {
+    return std::hash<stellar::net::IPv6Address>{}(p.address()) ^ p.length();
+  }
+};

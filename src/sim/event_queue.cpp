@@ -10,9 +10,24 @@ void EventQueue::schedule_at(SimTime at, Callback cb) {
   post(std::max(at, now_), next_seq_++, std::move(cb));
 }
 
-void EventQueue::post(SimTime at, std::uint64_t seq, Callback cb) {
-  heap_.push_back(Event{at, seq, std::move(cb)});
+void EventQueue::post(SimTime at, std::uint64_t seq, Callback cb, std::unique_ptr<Batch> batch) {
+  heap_.push_back(Event{at, seq, std::move(cb), std::move(batch)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+EventQueue::Batch* EventQueue::join_batch(SimTime at, const void* tag) {
+  if (open_.batch == nullptr || open_.tag != tag || open_.at != std::max(at, now_) ||
+      open_.last_seq + 1 != next_seq_) {
+    return nullptr;
+  }
+  open_.last_seq = next_seq_++;
+  return open_.batch;
+}
+
+void EventQueue::open_batch(SimTime at, const void* tag, std::unique_ptr<Batch> batch) {
+  at = std::max(at, now_);
+  open_ = OpenBatch{batch.get(), tag, at, next_seq_};
+  post(at, next_seq_++, nullptr, std::move(batch));
 }
 
 void EventQueue::dispatch_next() {
@@ -21,7 +36,13 @@ void EventQueue::dispatch_next() {
   Event ev = std::move(heap_.back());
   heap_.pop_back();
   now_ = ev.at;
-  ev.cb();
+  open_.batch = nullptr;
+  ++dispatched_;
+  if (ev.batch) {
+    ev.batch->run();
+  } else {
+    ev.cb();
+  }
 }
 
 void EventQueue::run_until(SimTime until) {

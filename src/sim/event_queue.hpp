@@ -46,9 +46,36 @@ class EventQueue {
   void run();
 
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  /// Events dispatched so far: a work counter, identical per seed on any host.
+  [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
   /// The sequence number the next event or timer arm takes: compares moments
   /// within one instant.
   [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
+
+  /// Calls that share one queued event: a run of calls for one instant, each
+  /// of which took the sequence number just after the one before. They run
+  /// in the order they joined, and since no other event or timer arm holds a
+  /// sequence number inside the run, in the same order as one event each
+  /// (DESIGN §8, coalesced delivery).
+  class Batch {
+   public:
+    Batch() = default;
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+    virtual ~Batch() = default;
+    /// Makes the batch's calls, in the order they joined.
+    virtual void run() = 0;
+  };
+  /// If the batch last opened under `tag` is due at `at` (clamped to now()),
+  /// has not started, and took the sequence number just before next_seq(),
+  /// takes the next one for the caller's call and returns that batch; the
+  /// caller appends the call. Otherwise returns null and takes nothing. Each
+  /// tag belongs to one Batch type, and must name a live object while its
+  /// batch is queued.
+  [[nodiscard]] Batch* join_batch(SimTime at, const void* tag);
+  /// Queues `batch` as one event at `at` under the next sequence number (its
+  /// first call's), open to join_batch() under `tag`. The queue owns it.
+  void open_batch(SimTime at, const void* tag, std::unique_ptr<Batch> batch);
 
  private:
   friend class Timer;
@@ -57,6 +84,7 @@ class EventQueue {
     SimTime at;
     std::uint64_t seq;  ///< Tie-breaker for deterministic FIFO ordering.
     Callback cb;
+    std::unique_ptr<Batch> batch;  ///< Run instead of `cb` when set.
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -65,14 +93,23 @@ class EventQueue {
     }
   };
 
-  /// Queues `cb` under an already-taken (at, seq) key.
-  void post(SimTime at, std::uint64_t seq, Callback cb);
+  /// Queues `cb`, or `batch` if set, under an already-taken (at, seq) key.
+  void post(SimTime at, std::uint64_t seq, Callback cb, std::unique_ptr<Batch> batch = nullptr);
   /// Pops the earliest event, moves the clock to it and runs it.
   void dispatch_next();
 
   SimTime now_{0.0};
   std::uint64_t next_seq_ = 0;
+  std::uint64_t dispatched_ = 0;
   std::vector<Event> heap_;  ///< Binary min-heap under Later.
+  /// The batch join_batch() may extend; closed (null) at every dispatch, so
+  /// a batch never grows once its event has been popped.
+  struct OpenBatch {
+    Batch* batch = nullptr;
+    const void* tag = nullptr;
+    SimTime at{0.0};
+    std::uint64_t last_seq = 0;
+  } open_;
 };
 
 /// A re-armable one-shot deadline: the callback runs once, at the last

@@ -113,6 +113,78 @@ TEST(CountMinSketchTest, ClearResets) {
   EXPECT_EQ(cms.total(), 0u);
 }
 
+/// The sketch as first written: every cell() call re-hashes the row seed,
+/// and add() hashes each row twice. The reference for the estimates the
+/// per-row seeds and once-per-add cells must keep bit for bit.
+class ReferenceCountMin {
+ public:
+  ReferenceCountMin(std::size_t width, std::size_t depth, std::uint64_t seed)
+      : width_(width), depth_(depth), seed_(seed), table_(width * depth, 0) {}
+
+  void add(std::uint64_t key, std::uint64_t count) {
+    if (count == 0) return;
+    std::uint64_t est = UINT64_MAX;
+    for (std::size_t row = 0; row < depth_; ++row) est = std::min(est, table_[cell(row, key)]);
+    const std::uint64_t target = est + count;
+    for (std::size_t row = 0; row < depth_; ++row) {
+      std::uint64_t& c = table_[cell(row, key)];
+      c = std::max(c, target);
+    }
+  }
+  [[nodiscard]] std::uint64_t estimate(std::uint64_t key) const {
+    std::uint64_t est = UINT64_MAX;
+    for (std::size_t row = 0; row < depth_; ++row) est = std::min(est, table_[cell(row, key)]);
+    return est;
+  }
+  void halve() {
+    for (auto& c : table_) c /= 2;
+  }
+
+ private:
+  static std::uint64_t Mix64(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
+  [[nodiscard]] std::size_t cell(std::size_t row, std::uint64_t key) const {
+    return row * width_ + static_cast<std::size_t>(Mix64(key ^ Mix64(seed_ + row)) % width_);
+  }
+
+  std::size_t width_;
+  std::size_t depth_;
+  std::uint64_t seed_;
+  std::vector<std::uint64_t> table_;
+};
+
+TEST(CountMinSketchTest, EstimatesMatchTheReferenceHashing) {
+  for (const std::uint64_t seed : {1ULL, 7ULL, 0x5eedULL}) {
+    for (const std::size_t depth : {1u, 4u, 7u}) {
+      util::Rng rng(seed + depth);
+      CountMinSketch cms(97, depth, seed);
+      ReferenceCountMin reference(97, depth, seed);
+      for (int i = 0; i < 5'000; ++i) {
+        const auto key = FlowAggregateKey(static_cast<std::uint32_t>(rng.uniform_int(0, 300)), 17,
+                                          static_cast<std::uint16_t>(rng.uniform_int(0, 3)));
+        const auto count = static_cast<std::uint64_t>(rng.uniform_int(0, 1500));
+        cms.add(key, count);
+        reference.add(key, count);
+        if (i == 2'500) {
+          cms.halve();
+          reference.halve();
+        }
+      }
+      for (std::uint32_t dst = 0; dst <= 310; ++dst) {
+        for (std::uint16_t port = 0; port < 4; ++port) {
+          const auto key = FlowAggregateKey(dst, 17, port);
+          ASSERT_EQ(cms.estimate(key), reference.estimate(key))
+              << "seed " << seed << " depth " << depth << " key " << key;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SpaceSaving.
 

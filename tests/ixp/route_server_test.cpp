@@ -15,8 +15,8 @@ namespace {
 net::Prefix4 P4(const char* text) { return net::Prefix4::Parse(text).value(); }
 
 /// Number of paths `rib` holds for `prefix`.
-template <typename PrefixT>
-std::size_t PathCount(const bgp::BasicRib<PrefixT>& rib, const PrefixT& prefix) {
+template <typename RibT, typename PrefixT>
+std::size_t PathCount(const RibT& rib, const PrefixT& prefix) {
   std::size_t count = 0;
   rib.visit_prefix(prefix, [&](const bgp::BasicRouteView<PrefixT>&) { ++count; });
   return count;

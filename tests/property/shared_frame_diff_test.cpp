@@ -45,7 +45,8 @@ net::Prefix4 P4(const std::string& text) { return net::Prefix4::Parse(text).valu
 bgp::Asn Asn(std::size_t i) { return static_cast<bgp::Asn>(65001 + i); }
 
 /// Number of paths `rib` holds for `prefix`.
-std::size_t PathCount(const bgp::Rib& rib, const net::Prefix4& prefix) {
+template <typename RibT>
+std::size_t PathCount(const RibT& rib, const net::Prefix4& prefix) {
   std::size_t count = 0;
   rib.visit_prefix(prefix, [&](const bgp::RouteView&) { ++count; });
   return count;
