@@ -3,9 +3,9 @@
 // A route is identified by (prefix, peer, path_id): the route server keeps an
 // Adj-RIB-In per peer, while the blackholing controller keeps a single Rib
 // over its ADD-PATH iBGP session where multiple paths for the same prefix
-// coexist. The controller recomputes its desired rule set from the RIB
-// (process_full() and the per-epoch process_incremental()) rather than
-// diffing snapshots of it (paper §4.4).
+// coexist. Each controller diff epoch re-derives the desired rules of the
+// prefixes that changed from the RIB rather than diffing snapshots of it
+// (paper §4.4).
 //
 // The containers are generic over the prefix type: IPv4 (the paper's
 // dominant case, >98% of blackholed prefixes; aliased Rib/Route) and IPv6

@@ -65,8 +65,11 @@ void BlackholingController::init_session(TransportFactory factory,
     c_failsafe_flushes_.inc();
     obs::journal().append(queue_.now().count(), obs::EventKind::kFailsafeFlush, "controller",
                           "desired=" + std::to_string(desired_.size()));
-    rib_.clear();       // Bypasses on_update's dirty tracking...
-    need_full_ = true;  // ...so the next epoch must be a full rescan.
+    // Clearing the RIB bypasses on_update's dirty tracking, so every recorded
+    // prefix is marked by hand: the epoch re-derives each one to nothing.
+    rib_.clear();
+    for (const auto& [prefix, record] : records_) dirty_.insert(prefix);
+    c_epochs_full_.inc();
     process();  // Emits removals for everything previously desired.
   });
   // Each re-establishment resyncs the RIB (the route server replays it and
@@ -142,20 +145,18 @@ void BlackholingController::on_update(const bgp::UpdateMessage& update) {
   for (const auto& nlri : update.announced) dirty_.insert(nlri.prefix);
 }
 
-std::vector<std::pair<std::string, BlackholingController::DesiredRule>>
-BlackholingController::derive_rules(const bgp::RouteView& route) {
-  std::vector<std::pair<std::string, DesiredRule>> out;
+bool BlackholingController::derive_rules(const bgp::RouteView& route, bool first_seen,
+                                         std::map<std::string, Candidate>& out) {
   if (route.attrs.extended_communities.empty() && route.attrs.large_communities.empty()) {
-    return out;
+    return false;
   }
   const auto decoded = DecodeRouteSignal(config_.ixp_asn, route.attrs.extended_communities,
                                          route.attrs.large_communities);
-  if (decoded.ok() && !decoded->has_value()) return out;
+  if (decoded.ok() && !decoded->has_value()) return false;
 
   // Stats are per signaled route, not per processing round — and a route is
   // invalid at most once, no matter how many of its rules fail to translate
   // (counting each bad rule used to double-count invalid_signals).
-  const bool first_seen = stats_counted_.insert({route.prefix, route.path_id}).second;
   bool invalid_counted = false;
   const auto count_invalid_once = [&] {
     if (first_seen && !invalid_counted) {
@@ -166,12 +167,12 @@ BlackholingController::derive_rules(const bgp::RouteView& route) {
 
   if (!decoded.ok()) {
     count_invalid_once();
-    return out;
+    return true;
   }
   const Signal& signal = **decoded;
   if (signal.rules.empty()) {
     count_invalid_once();
-    return out;
+    return true;
   }
   if (first_seen) {
     c_signals_decoded_.inc();
@@ -183,12 +184,12 @@ BlackholingController::derive_rules(const bgp::RouteView& route) {
   const auto member = route.attrs.origin_asn();
   if (!member) {
     count_invalid_once();
-    return out;
+    return true;
   }
   const auto entry = directory_(*member);
   if (!entry) {
     count_invalid_once();
-    return out;
+    return true;
   }
 
   const bool shaping = signal.is_shaping();
@@ -211,43 +212,140 @@ BlackholingController::derive_rules(const bgp::RouteView& route) {
       }
       criteria = *converted;
     }
-    DesiredRule desired;
-    desired.member = *member;
-    desired.port = entry->port;
-    desired.rule.match = criteria;
-    desired.rule.action = shaping ? filter::FilterAction::kShape : filter::FilterAction::kDrop;
-    desired.rule.shape_rate_mbps = shaping ? *signal.shape_rate_mbps : 0.0;
-    desired.trace = route.prefix.str();
-
-    const std::string key = route.prefix.str() + "|path" + std::to_string(route.path_id) +
-                            "|rule" + std::to_string(i) + "|" + sr.str();
-    out.emplace_back(key, std::move(desired));
+    Candidate candidate;
+    candidate.order = {route.prefix, route.path_id, i};
+    ConfigChange& change = candidate.change;
+    change.member = *member;
+    change.port = entry->port;
+    change.rule.match = criteria;
+    change.rule.action = shaping ? filter::FilterAction::kShape : filter::FilterAction::kDrop;
+    change.rule.shape_rate_mbps = shaping ? *signal.shape_rate_mbps : 0.0;
+    change.key = route.prefix.str() + "|path" + std::to_string(route.path_id) + "|rule" +
+                 std::to_string(i) + "|" + sr.str();
+    change.trace = route.prefix.str();
+    out.emplace(change.key, std::move(candidate));
   }
-  return out;
+  return true;
+}
+
+void BlackholingController::rederive(const net::Prefix4& prefix,
+                                     std::set<filter::PortId>& touched) {
+  const auto it = records_.find(prefix);
+  PrefixRecord next;
+  rib_.visit_prefix(prefix, [&](const bgp::RouteView& view) {
+    const bool first_seen =
+        it == records_.end() || !std::ranges::binary_search(it->second.paths, view.path_id);
+    if (derive_rules(view, first_seen, next.rules)) next.paths.push_back(view.path_id);
+  });
+  if (it != records_.end()) {
+    for (const auto& [key, old] : it->second.rules) {
+      ports_[old.change.port].order.erase(old.order);
+      touched.insert(old.change.port);
+      // A candidate that stays keeps its admission history.
+      const auto kept = next.rules.find(key);
+      if (kept != next.rules.end()) kept->second.rejected = old.rejected;
+    }
+    records_.erase(it);
+  }
+  for (const auto& [key, candidate] : next.rules) {
+    ports_[candidate.change.port].order.insert(candidate.order);
+    touched.insert(candidate.change.port);
+  }
+  if (!next.paths.empty()) records_.emplace(prefix, std::move(next));
+}
+
+bool BlackholingController::admitted(const Candidate& candidate) const {
+  const auto& first_rejected = ports_.at(candidate.change.port).first_rejected;
+  return !first_rejected || candidate.order < *first_rejected;
 }
 
 void BlackholingController::process() {
   // One diff epoch. Quiet epochs (no RIB churn since the last round) are
   // free; churny epochs coalesce all accumulated per-prefix deltas into one
-  // change-set. Admission control is sort-order-sensitive, so whenever it
-  // could bind the epoch falls back to the full O(RIB) rescan — the two
-  // paths produce the same desired state by construction.
-  if (!need_full_ && dirty_.empty()) return;
-  if (need_full_) {
-    process_full();
-  } else {
-    process_incremental();
+  // change-set.
+  if (dirty_.empty()) return;
+  c_epochs_incremental_.inc();
+  std::set<net::Prefix4> visit = std::exchange(dirty_, {});
+  std::set<filter::PortId> touched;
+  for (const auto& prefix : visit) rederive(prefix, touched);
+
+  // Admission control: each port admits the first max_rules_per_port of its
+  // candidates in RIB order, exactly as a full rescan would. Only a touched
+  // port's boundary can move; the candidates it passes over change
+  // admission, so their prefixes join the epoch.
+  const auto budget = static_cast<std::size_t>(std::max(config_.max_rules_per_port, 0));
+  bool evicting = false;
+  for (const filter::PortId port : touched) {
+    const auto it = ports_.find(port);
+    PortCandidates& candidates = it->second;
+    const std::optional<RuleOrder> was = candidates.first_rejected;
+    candidates.first_rejected.reset();
+    if (candidates.order.size() > budget) {
+      candidates.first_rejected =
+          *std::next(candidates.order.begin(), static_cast<std::ptrdiff_t>(budget));
+    }
+    const std::optional<RuleOrder>& now = candidates.first_rejected;
+    if (was != now) {
+      // Unset is past the end: the candidates in [min, max) flipped.
+      const bool shrank = now && (!was || *now < *was);
+      evicting = evicting || shrank;
+      const std::optional<RuleOrder>& lo = shrank ? now : was;
+      const std::optional<RuleOrder>& hi = shrank ? was : now;
+      for (auto c = candidates.order.lower_bound(*lo);
+           c != candidates.order.end() && (!hi || *c < *hi); ++c) {
+        visit.insert(std::get<net::Prefix4>(*c));
+      }
+    }
+    if (candidates.order.empty()) ports_.erase(it);
   }
+
+  std::size_t changes = 0;
+  // Evictions go first, so that no port passes its budget on their account.
+  if (evicting) {
+    for (const auto& prefix : visit) {
+      const auto record = records_.find(prefix);
+      if (record == records_.end()) continue;
+      for (const auto& [key, candidate] : record->second.rules) {
+        if (!admitted(candidate)) changes += emit_transition(key, nullptr);
+      }
+    }
+  }
+  // Per prefix, removals before installs, each in key order.
+  std::vector<std::string> stale;
+  for (const auto& prefix : visit) {
+    const auto record = records_.find(prefix);
+    const auto wanted = [&](const std::string& key) {
+      if (record == records_.end()) return false;
+      const auto candidate = record->second.rules.find(key);
+      return candidate != record->second.rules.end() && admitted(candidate->second);
+    };
+    // Change keys are "<prefix>|path..." and '|' sorts above every prefix
+    // character, so the prefix's desired keys form one contiguous map range.
+    const std::string range = prefix.str() + "|";
+    stale.clear();
+    for (auto it = desired_.lower_bound(range);
+         it != desired_.end() && it->first.starts_with(range); ++it) {
+      if (!wanted(it->first)) stale.push_back(it->first);
+    }
+    for (const auto& key : stale) changes += emit_transition(key, nullptr);
+    if (record == records_.end()) continue;
+    for (auto& [key, candidate] : record->second.rules) {
+      const bool admit = admitted(candidate);
+      if (!admit && !candidate.rejected) c_admission_rejected_.inc();
+      candidate.rejected = !admit;
+      if (admit) changes += emit_transition(key, &candidate.change);
+    }
+  }
+  if (changes > 0) h_epoch_changes_.observe(static_cast<double>(changes));
 }
 
 std::size_t BlackholingController::emit_transition(const std::string& key,
-                                                   const DesiredRule* next) {
+                                                   const ConfigChange* next) {
   const auto it = desired_.find(key);
   if (next == nullptr) {
     if (it == desired_.end()) return 0;
     ConfigChange change = it->second;
     change.op = ConfigChange::Op::kRemove;
-    if (--port_counts_[change.port] <= 0) port_counts_.erase(change.port);
     desired_.erase(it);
     c_removals_emitted_.inc();
     if (sink_) sink_(change);
@@ -259,130 +357,14 @@ std::size_t BlackholingController::emit_transition(const std::string& key,
     // Modified in place (e.g. shape -> drop escalation): remove then install.
     ConfigChange removal = it->second;
     removal.op = ConfigChange::Op::kRemove;
-    if (--port_counts_[removal.port] <= 0) port_counts_.erase(removal.port);
     c_removals_emitted_.inc();
     if (sink_) sink_(removal);
     ++emitted;
   }
-  ConfigChange change;
-  change.op = ConfigChange::Op::kInstall;
-  change.member = next->member;
-  change.port = next->port;
-  change.rule = next->rule;
-  change.key = key;
-  change.trace = next->trace;
-  desired_[key] = change;
-  ++port_counts_[change.port];
+  desired_[key] = *next;
   c_installs_emitted_.inc();
-  if (sink_) sink_(change);
+  if (sink_) sink_(*next);
   return emitted + 1;
-}
-
-void BlackholingController::process_full() {
-  // Recompute the full desired state from the current RIB, then diff against
-  // what we previously emitted. Equivalent to the paper's RIB-snapshot
-  // differencing, but naturally idempotent.
-  c_epochs_full_.inc();
-  need_full_ = false;
-  dirty_.clear();
-  rejected_ports_.clear();
-  std::map<std::string, DesiredRule> target;
-  std::map<filter::PortId, int> rules_per_port;
-  rib_.for_each([&](const bgp::RouteView& route) {
-    for (auto& [key, desired] : derive_rules(route)) {
-      // Admission control: cap concurrent rules per member port. The first
-      // budget-many rules in RIB order win; the rest are rejected.
-      int& count = rules_per_port[desired.port];
-      if (count >= config_.max_rules_per_port) {
-        if (!desired_.contains(key)) c_admission_rejected_.inc();
-        rejected_ports_.insert(desired.port);
-        continue;
-      }
-      if (target.emplace(key, std::move(desired)).second) ++count;
-    }
-  });
-
-  std::size_t changes = 0;
-  // Removals: previously desired, no longer signaled.
-  std::vector<std::string> stale;
-  for (const auto& [key, change] : desired_) {
-    if (!target.contains(key)) stale.push_back(key);
-  }
-  for (const auto& key : stale) changes += emit_transition(key, nullptr);
-  // Installs and modifications.
-  for (const auto& [key, desired] : target) changes += emit_transition(key, &desired);
-  if (changes > 0) h_epoch_changes_.observe(static_cast<double>(changes));
-}
-
-void BlackholingController::process_incremental() {
-  // Phase 1 (dry): derive the coalesced delta for every dirty prefix without
-  // emitting anything, and decide whether admission control could bind.
-  struct Delta {
-    std::map<std::string, DesiredRule> next;  ///< Desired rules after the epoch.
-    std::vector<std::string> old_keys;        ///< Currently desired keys of the prefix.
-  };
-  std::vector<Delta> deltas;
-  deltas.reserve(dirty_.size());
-  for (const auto& prefix : dirty_) {
-    Delta d;
-    rib_.visit_prefix(prefix, [&](const bgp::RouteView& view) {
-      for (auto& [key, desired] : derive_rules(view)) {
-        d.next.emplace(std::move(key), std::move(desired));
-      }
-    });
-    // Change keys are "<prefix>|path..." and '|' sorts above every prefix
-    // character, so the prefix's desired keys form one contiguous map range.
-    const std::string range = prefix.str() + "|";
-    for (auto it = desired_.lower_bound(range);
-         it != desired_.end() && it->first.starts_with(range); ++it) {
-      d.old_keys.push_back(it->first);
-    }
-    deltas.push_back(std::move(d));
-  }
-
-  // Safety check: project per-port occupancy after the epoch. The epoch may
-  // apply incrementally only if no touched port overflows its budget and no
-  // touched port had rejections in the last full pass (a rejected rule could
-  // be waiting in the RIB for a freed slot).
-  std::map<filter::PortId, int> occupancy = port_counts_;
-  std::set<filter::PortId> touched;
-  for (const auto& d : deltas) {
-    for (const auto& key : d.old_keys) {
-      const ConfigChange& cur = desired_.at(key);
-      touched.insert(cur.port);
-      const auto next = d.next.find(key);
-      if (next == d.next.end()) {
-        --occupancy[cur.port];
-      } else if (next->second.port != cur.port) {
-        --occupancy[cur.port];
-        ++occupancy[next->second.port];
-        touched.insert(next->second.port);
-      }
-    }
-    for (const auto& [key, desired] : d.next) {
-      touched.insert(desired.port);
-      if (!desired_.contains(key)) ++occupancy[desired.port];
-    }
-  }
-  for (const filter::PortId port : touched) {
-    if (rejected_ports_.contains(port) || occupancy[port] > config_.max_rules_per_port) {
-      process_full();  // Global admission must decide this epoch.
-      return;
-    }
-  }
-
-  // Phase 2: emit the batched change-set, removals before installs per
-  // prefix, superseded add->remove churn already annihilated in the delta.
-  c_epochs_incremental_.inc();
-  std::size_t changes = 0;
-  for (const auto& d : deltas) {
-    for (const auto& key : d.old_keys) {
-      if (!d.next.contains(key)) changes += emit_transition(key, nullptr);
-    }
-    for (const auto& [key, desired] : d.next) changes += emit_transition(key, &desired);
-  }
-  dirty_.clear();
-  if (changes > 0) h_epoch_changes_.observe(static_cast<double>(changes));
 }
 
 }  // namespace stellar::core

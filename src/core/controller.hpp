@@ -16,6 +16,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -104,8 +105,9 @@ class BlackholingController {
   void set_change_sink(ChangeSink sink) { sink_ = std::move(sink); }
   void set_installed_view(InstalledView view) { installed_view_ = std::move(view); }
 
-  /// Recomputes the desired rule set from the RIB and emits the differences.
-  /// Called periodically; exposed for tests and for immediate reaction.
+  /// One diff epoch: re-derives the prefixes dirtied since the last round,
+  /// re-admits their ports' candidates and emits the differences. Called
+  /// periodically; exposed for tests and for immediate reaction.
   void process();
 
   /// Post-resync reconciliation audit: diffs the data plane (installed view)
@@ -120,9 +122,13 @@ class BlackholingController {
 
   struct Stats {
     std::uint64_t updates_processed = 0;
+    /// Signal paths decoded on arrival; a path that is withdrawn and
+    /// announced again counts again.
     std::uint64_t signals_decoded = 0;
     std::uint64_t invalid_signals = 0;      ///< Malformed or unauthorized.
-    std::uint64_t admission_rejected = 0;   ///< Over the per-port rule budget.
+    /// Candidates that became rejected by the per-port rule budget, on
+    /// arrival or by eviction; one that stays rejected counts once.
+    std::uint64_t admission_rejected = 0;
     std::uint64_t installs_emitted = 0;
     std::uint64_t removals_emitted = 0;
     /// Times the fail-safe flushed all rules after losing the route server.
@@ -131,8 +137,9 @@ class BlackholingController {
     std::uint64_t reconciliations = 0;
     std::uint64_t orphans_removed = 0;
     std::uint64_t missing_reinstalled = 0;
-    // Diff-epoch shape: how many process() rounds ran the O(RIB) full rescan
-    // vs the O(dirty prefixes) incremental delta.
+    // Diff-epoch shape. Every non-empty process() round counts as
+    // incremental; the fail-safe flush epochs, the only ones that re-derive
+    // every prefix, also count as full.
     std::uint64_t epochs_full = 0;
     std::uint64_t epochs_incremental = 0;
   };
@@ -162,28 +169,43 @@ class BlackholingController {
   [[nodiscard]] const std::map<std::string, ConfigChange>& desired() const { return desired_; }
 
  private:
-  struct DesiredRule {
-    bgp::Asn member;
-    filter::PortId port;
-    filter::FilterRule rule;
-    std::string trace;  ///< Signal-path trace id (the signaling prefix).
+  /// A rule's place in RIB order: its route's (prefix, path-id), then its
+  /// index in the signal. Admission keeps the first max_rules_per_port.
+  using RuleOrder = std::tuple<net::Prefix4, bgp::PathId, std::size_t>;
+  /// One rule a signal path asks for: an admission candidate on its port.
+  struct Candidate {
+    RuleOrder order;
+    ConfigChange change;    ///< The install that admits it.
+    bool rejected = false;  ///< Over its port's budget after the last epoch.
+  };
+  /// The Stellar-carrying paths of one RIB prefix (invalid ones included)
+  /// and the candidates derived from them, by change key.
+  struct PrefixRecord {
+    std::vector<bgp::PathId> paths;  ///< Ascending.
+    std::map<std::string, Candidate> rules;
+  };
+  /// One port's candidates in RIB order; those before `first_rejected` (all
+  /// of them when it is unset) are admitted.
+  struct PortCandidates {
+    std::set<RuleOrder> order;
+    std::optional<RuleOrder> first_rejected;  ///< Set while over budget.
   };
 
   void on_update(const bgp::UpdateMessage& update);
-  /// Derives the rules a single RIB route asks for.
-  [[nodiscard]] std::vector<std::pair<std::string, DesiredRule>> derive_rules(
-      const bgp::RouteView& route);
+  /// Adds the rules a single RIB route asks for to `out`. Returns false if
+  /// the route carries no Stellar community. `first_seen`: the path has no
+  /// record yet, so its decode and invalidity count in the stats.
+  bool derive_rules(const bgp::RouteView& route, bool first_seen,
+                    std::map<std::string, Candidate>& out);
   void init_session(TransportFactory factory, bgp::ReconnectPolicy policy);
-  /// Full O(RIB) recompute of the desired set (the paper's snapshot diff).
-  void process_full();
-  /// Batched per-epoch delta over the prefixes dirtied since the last round.
-  /// Falls back to process_full() whenever admission control could bind —
-  /// admission is sort-order-sensitive, so only a global pass decides it.
-  void process_incremental();
+  /// Re-derives `prefix` from the RIB into records_ and its candidates into
+  /// ports_, adding every port whose candidates it touched.
+  void rederive(const net::Prefix4& prefix, std::set<filter::PortId>& touched);
+  [[nodiscard]] bool admitted(const Candidate& candidate) const;
   /// Emits the removal/install/modify changes moving `key` to `next`
-  /// (nullptr: no longer desired), maintaining desired_ and port_counts_.
-  /// Returns the number of changes emitted (0, 1, or 2).
-  std::size_t emit_transition(const std::string& key, const DesiredRule* next);
+  /// (nullptr: no longer desired), maintaining desired_. Returns the number
+  /// of changes emitted (0, 1, or 2).
+  std::size_t emit_transition(const std::string& key, const ConfigChange* next);
 
   sim::EventQueue& queue_;
   Config config_;
@@ -196,25 +218,17 @@ class BlackholingController {
     processor_.arm_after(sim::Seconds(config_.process_interval_s));
   }};
   bgp::Rib rib_;
-  /// Signal routes already counted in stats (process() re-derives every
-  /// round; stats must count each signaled route once).
-  std::set<std::pair<net::Prefix4, bgp::PathId>> stats_counted_;
-  /// key -> change currently believed installed (or queued to install).
+  /// Every RIB prefix with a Stellar-carrying path, as last derived.
+  std::map<net::Prefix4, PrefixRecord> records_;
+  /// Admission state per port, over the candidates in records_.
+  std::map<filter::PortId, PortCandidates> ports_;
+  /// key -> change currently believed installed (or queued to install): the
+  /// admitted candidates as of the last epoch.
   std::map<std::string, ConfigChange> desired_;
   /// Prefixes touched by updates since the last process() round: the unit of
   /// the batched diff epoch. All per-prefix deltas within one epoch coalesce
   /// into a single change-set emission.
   std::set<net::Prefix4> dirty_;
-  /// Force the next epoch through the full rescan (initial sync, fail-safe
-  /// flush, any RIB mutation that bypasses on_update()).
-  bool need_full_ = true;
-  /// Desired-rule count per port, mirrored from desired_ so the incremental
-  /// path can detect a port nearing its admission budget without a rescan.
-  std::map<filter::PortId, int> port_counts_;
-  /// Ports that had at least one admission rejection during the last full
-  /// pass: a rejected rule may be waiting in the RIB, so any churn on these
-  /// ports must re-run global admission.
-  std::set<filter::PortId> rejected_ports_;
   ChangeSink sink_;
   InstalledView installed_view_;
   /// Invalidates scheduled reconciliations when the controller dies.

@@ -212,6 +212,48 @@ TEST(ControllerTest, AdmissionControlCapsRulesPerPort) {
   EXPECT_GE(f.controller->stats().admission_rejected, 2u);
 }
 
+TEST(ControllerTest, AdmissionEvictionIsEmittedBeforeTheInstallThatCausesIt) {
+  // Budget 1 on port 11: a rule earlier in RIB order evicts the admitted one.
+  // The eviction goes out first, so the port never holds two rules.
+  ControllerFixture f(/*max_rules_per_port=*/1);
+  f.push(P4("100.10.10.20/32"), 1, 65001, NtpDrop());
+  f.push(P4("100.10.10.10/32"), 1, 65001, NtpDrop());
+  ASSERT_EQ(f.changes.size(), 3u);
+  EXPECT_EQ(f.changes[1].op, ConfigChange::Op::kRemove);
+  EXPECT_EQ(f.changes[1].key, f.changes[0].key);
+  EXPECT_EQ(f.changes[2].op, ConfigChange::Op::kInstall);
+  EXPECT_TRUE(f.changes[2].key.starts_with("100.10.10.10/32|"));
+  EXPECT_EQ(f.controller->stats().admission_rejected, 1u);  // The eviction.
+  // Withdrawing the winner re-admits the evicted rule; nothing newly rejected.
+  f.withdraw(P4("100.10.10.10/32"), 1);
+  ASSERT_EQ(f.changes.size(), 5u);
+  EXPECT_EQ(f.changes[4].op, ConfigChange::Op::kInstall);
+  EXPECT_EQ(f.changes[4].key, f.changes[0].key);
+  EXPECT_EQ(f.controller->stats().admission_rejected, 1u);
+}
+
+TEST(ControllerTest, SignalWithdrawnAndAnnouncedAgainCountsAgain) {
+  ControllerFixture f;
+  f.push(P4("100.10.10.10/32"), 1, 65001, NtpDrop());
+  f.withdraw(P4("100.10.10.10/32"), 1);
+  f.push(P4("100.10.10.10/32"), 1, 65001, NtpDrop());
+  EXPECT_EQ(f.controller->stats().signals_decoded, 2u);
+}
+
+TEST(ControllerTest, InvalidPathCountsOnceWhileItsPrefixChurns) {
+  // Path 1 is invalid (unknown member); path 2 of the same prefix keeps
+  // dirtying the prefix, so path 1 is re-derived every epoch.
+  ControllerFixture f;
+  f.push(P4("100.10.10.10/32"), 1, 65099, NtpDrop());
+  Signal shape = NtpDrop();
+  shape.shape_rate_mbps = 200.0;
+  f.push(P4("100.10.10.10/32"), 2, 65002, shape);
+  f.push(P4("100.10.10.10/32"), 2, 65002, NtpDrop());
+  f.withdraw(P4("100.10.10.10/32"), 2);
+  EXPECT_EQ(f.controller->stats().invalid_signals, 1u);
+  EXPECT_EQ(f.controller->stats().signals_decoded, 2u);
+}
+
 TEST(ControllerTest, ReconcileReinstallsMissingRules) {
   ControllerFixture f;
   f.push(P4("100.10.10.10/32"), 1, 65001, NtpDrop());
