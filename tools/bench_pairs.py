@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Paired perfbench runs: a parent commit against a change, on one host.
 
-Builds perfbench/ (with the Stellar sources next to it) twice, in Release and
-out of tree, under --work-dir: the parent from a `git archive` of --parent
+Builds perfbench/ (with the Stellar sources next to it) twice, in Release with
+one fixed code alignment (ALIGN_FLAGS) and out of tree, under --work-dir: the parent from a `git archive` of --parent
 (source and build directories named after its revision), the change from the
 working tree. No build output goes inside the repository. Then, for every
 workload of BENCHMARK.json, it runs 10 pairs of pinned runs (`taskset -c CPU
@@ -42,6 +42,9 @@ PAIRS = 10
 SEED = 1
 DIGEST_SEEDS = (1, 7)
 JOBS = 2  # Build parallelism.
+# Both commits are built with one fixed code alignment, so a function that
+# only moved to another address between them does not move their timings.
+ALIGN_FLAGS = "-falign-functions=64 -falign-loops=64 -falign-jumps=64"
 
 
 def log(msg):
@@ -65,12 +68,10 @@ def export_tree(rev, dest):
 
 
 def build(source_root, build_dir):
-    """Configures (once) and builds perfbench from source_root; returns the binary."""
-    steps = []
-    if not os.path.isfile(os.path.join(build_dir, "CMakeCache.txt")):
-        steps.append(["cmake", "-S", os.path.join(source_root, "perfbench"), "-B", build_dir,
-                      "-DCMAKE_BUILD_TYPE=Release"])
-    steps.append(["cmake", "--build", build_dir, f"-j{JOBS}"])
+    """Configures and builds perfbench from source_root; returns the binary."""
+    steps = [["cmake", "-S", os.path.join(source_root, "perfbench"), "-B", build_dir,
+              "-DCMAKE_BUILD_TYPE=Release", f"-DCMAKE_CXX_FLAGS={ALIGN_FLAGS}"],
+             ["cmake", "--build", build_dir, f"-j{JOBS}"]]
     for step in steps:
         done = subprocess.run(step, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
                               check=False)
@@ -261,7 +262,8 @@ def main():
         "host": {**host(), "note": "shared VM: other tenants run on the same machine, so "
                                    "run-to-run spread is mostly the host's"},
         "build": "perfbench CMake package, Release, for both commits (what perfbench/run.py "
-                 "builds), built out of tree by tools/bench_pairs.py",
+                 f"builds) plus CMAKE_CXX_FLAGS='{ALIGN_FLAGS}', built out of tree by "
+                 "tools/bench_pairs.py",
         "claim": args.claim,
         "pairs": pairs,
         "digests": digest_out,
