@@ -43,20 +43,6 @@ std::vector<NumericOp> Range(std::uint32_t lo, std::uint32_t hi) {
   return {ge, le};
 }
 
-std::optional<net::Prefix4> Rule::dst_prefix() const {
-  for (const auto& c : components) {
-    if (c.type == ComponentType::kDstPrefix) return c.prefix;
-  }
-  return std::nullopt;
-}
-
-std::optional<net::Prefix4> Rule::src_prefix() const {
-  for (const auto& c : components) {
-    if (c.type == ComponentType::kSrcPrefix) return c.prefix;
-  }
-  return std::nullopt;
-}
-
 namespace {
 
 // RFC 5575 §4.2.1.1: the op list is an OR of AND-groups; an AND bit chains
@@ -107,33 +93,6 @@ bool Rule::matches(const net::FlowKey& flow) const {
     }
   }
   return !components.empty();
-}
-
-std::string Rule::str() const {
-  std::string out = "flowspec{";
-  bool first = true;
-  for (const auto& c : components) {
-    if (!first) out += ", ";
-    first = false;
-    switch (c.type) {
-      case ComponentType::kDstPrefix: out += "dst " + c.prefix.str(); break;
-      case ComponentType::kSrcPrefix: out += "src " + c.prefix.str(); break;
-      case ComponentType::kIpProtocol: out += "proto"; break;
-      case ComponentType::kPort: out += "port"; break;
-      case ComponentType::kDstPort: out += "dst-port"; break;
-      case ComponentType::kSrcPort: out += "src-port"; break;
-      default: out += "type" + std::to_string(static_cast<int>(c.type)); break;
-    }
-    for (const auto& op : c.ops) {
-      out += ' ';
-      if (op.and_with_previous) out += '&';
-      if (op.gt) out += '>';
-      if (op.lt) out += '<';
-      if (op.eq) out += '=';
-      out += std::to_string(op.value);
-    }
-  }
-  return out + "}";
 }
 
 util::Result<std::vector<std::uint8_t>> EncodeNlri(const Rule& rule) {
@@ -246,23 +205,6 @@ util::Result<DecodedNlri> DecodeNlri(std::span<const std::uint8_t> data) {
     out.rule.components.push_back(std::move(c));
   }
   return out;
-}
-
-ExtendedCommunity Action::to_extended_community(std::uint16_t asn) const {
-  return ExtendedCommunity::FlowspecTrafficRate(asn, rate_limit_bytes_per_s.value_or(0.0f));
-}
-
-std::optional<Action> Action::from_extended_communities(
-    std::span<const ExtendedCommunity> communities) {
-  for (const auto& ec : communities) {
-    if (ec.type() == ExtendedCommunity::kTypeGenericTransitiveExp &&
-        ec.subtype() == ExtendedCommunity::kSubTypeFlowspecTrafficRate) {
-      Action a;
-      a.rate_limit_bytes_per_s = ec.traffic_rate_bytes_per_second();
-      return a;
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace stellar::bgp::flowspec

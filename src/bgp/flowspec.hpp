@@ -1,8 +1,8 @@
 // BGP Flowspec NLRI codec (RFC 5575, "Dissemination of Flow Specification
 // Rules"). The paper evaluates Flowspec as an alternative signaling interface
 // and rejects it for inter-domain use (§4.2.1); we implement the NLRI format
-// and its traffic-rate action so the Flowspec baseline in the comparison
-// harness speaks the real wire format.
+// so the Flowspec baseline in the comparison harness speaks the real wire
+// format. Its traffic-rate action travels beside the NLRI as a value.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 #include <variant>
 #include <vector>
 
-#include "bgp/types.hpp"
 #include "net/flow.hpp"
 #include "net/ip.hpp"
 #include "util/result.hpp"
@@ -71,15 +70,10 @@ struct Component {
 struct Rule {
   std::vector<Component> components;
 
-  [[nodiscard]] std::optional<net::Prefix4> dst_prefix() const;
-  [[nodiscard]] std::optional<net::Prefix4> src_prefix() const;
-
   /// Evaluates the rule against a flow key (fluid-simulation semantics: the
   /// whole flow matches or not). Numeric op lists follow RFC 5575 §4.2.1.1:
   /// OR of AND-groups.
   [[nodiscard]] bool matches(const net::FlowKey& flow) const;
-
-  [[nodiscard]] std::string str() const;
 
   friend bool operator==(const Rule&, const Rule&) = default;
 };
@@ -96,14 +90,10 @@ struct DecodedNlri {
 };
 [[nodiscard]] util::Result<DecodedNlri> DecodeNlri(std::span<const std::uint8_t> data);
 
-/// The action attached to a Flowspec rule via extended communities.
+/// The traffic-rate action attached to a Flowspec rule (RFC 5575 §7).
 struct Action {
   /// Rate limit in bytes/s; 0 = drop, nullopt = accept (no rate action).
   std::optional<float> rate_limit_bytes_per_s;
-
-  [[nodiscard]] ExtendedCommunity to_extended_community(std::uint16_t asn) const;
-  static std::optional<Action> from_extended_communities(
-      std::span<const ExtendedCommunity> communities);
 };
 
 }  // namespace stellar::bgp::flowspec

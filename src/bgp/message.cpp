@@ -503,25 +503,8 @@ bool PathAttributes::has_community(Community c) const {
   return std::find(communities.begin(), communities.end(), c) != communities.end();
 }
 
-bool PathAttributes::has_extended_community(const ExtendedCommunity& c) const {
-  return std::find(extended_communities.begin(), extended_communities.end(), c) !=
-         extended_communities.end();
-}
-
 void PathAttributes::add_community(Community c) {
   if (!has_community(c)) communities.push_back(c);
-}
-
-void PathAttributes::remove_community(Community c) {
-  communities.erase(std::remove(communities.begin(), communities.end(), c), communities.end());
-}
-
-void PathAttributes::prepend_asn(Asn asn) {
-  if (as_path.empty() || as_path.front().type != AsPathSegment::Type::kSequence ||
-      as_path.front().asns.size() >= 255) {
-    as_path.insert(as_path.begin(), AsPathSegment{AsPathSegment::Type::kSequence, {}});
-  }
-  as_path.front().asns.insert(as_path.front().asns.begin(), asn);
 }
 
 // ---------------------------------------------------------------------------

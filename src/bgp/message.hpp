@@ -148,11 +148,7 @@ struct PathAttributes {
   [[nodiscard]] std::size_t as_path_length() const;
   [[nodiscard]] std::optional<Asn> origin_asn() const;  ///< Rightmost ASN of the path.
   [[nodiscard]] bool has_community(Community c) const;
-  [[nodiscard]] bool has_extended_community(const ExtendedCommunity& c) const;
   void add_community(Community c);           ///< Idempotent.
-  void remove_community(Community c);
-  /// Prepends `asn` to the leading AS_SEQUENCE (creating one if needed).
-  void prepend_asn(Asn asn);
 
   friend bool operator==(const PathAttributes&, const PathAttributes&) = default;
 };

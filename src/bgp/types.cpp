@@ -1,7 +1,6 @@
 #include "bgp/types.hpp"
 
 #include <cstdio>
-#include <cstring>
 
 namespace stellar::bgp {
 
@@ -23,39 +22,10 @@ ExtendedCommunity ExtendedCommunity::TwoOctetAs(std::uint8_t subtype, std::uint1
   return ExtendedCommunity(b);
 }
 
-ExtendedCommunity ExtendedCommunity::FlowspecTrafficRate(std::uint16_t asn,
-                                                         float bytes_per_second) {
-  Bytes b{};
-  b[0] = kTypeGenericTransitiveExp;
-  b[1] = kSubTypeFlowspecTrafficRate;
-  b[2] = static_cast<std::uint8_t>(asn >> 8);
-  b[3] = static_cast<std::uint8_t>(asn);
-  std::uint32_t rate_bits = 0;
-  static_assert(sizeof(float) == 4);
-  std::memcpy(&rate_bits, &bytes_per_second, 4);
-  b[4] = static_cast<std::uint8_t>(rate_bits >> 24);
-  b[5] = static_cast<std::uint8_t>(rate_bits >> 16);
-  b[6] = static_cast<std::uint8_t>(rate_bits >> 8);
-  b[7] = static_cast<std::uint8_t>(rate_bits);
-  return ExtendedCommunity(b);
-}
-
-float ExtendedCommunity::traffic_rate_bytes_per_second() const {
-  const std::uint32_t rate_bits = (std::uint32_t{bytes_[4]} << 24) |
-                                  (std::uint32_t{bytes_[5]} << 16) |
-                                  (std::uint32_t{bytes_[6]} << 8) | std::uint32_t{bytes_[7]};
-  float rate = 0.0f;
-  std::memcpy(&rate, &rate_bits, 4);
-  return rate;
-}
-
 std::string ExtendedCommunity::str() const {
   char buf[40];
   if ((type() & 0x3f) == kTypeTwoOctetAs) {
     std::snprintf(buf, sizeof buf, "ext:%u:%u:%u", subtype(), as_number(), local_admin());
-  } else if (type() == kTypeGenericTransitiveExp && subtype() == kSubTypeFlowspecTrafficRate) {
-    std::snprintf(buf, sizeof buf, "traffic-rate:%u:%.0fBps", as_number(),
-                  static_cast<double>(traffic_rate_bytes_per_second()));
   } else {
     std::snprintf(buf, sizeof buf, "ext:0x%02x%02x:%010llu", type(), subtype(),
                   static_cast<unsigned long long>(as_u64() & 0xffffffffffffULL));

@@ -53,13 +53,10 @@ class ExtendedCommunity {
   static constexpr std::uint8_t kTypeIPv4Address = 0x01;      ///< RFC 4360 §3.2
   static constexpr std::uint8_t kTypeFourOctetAs = 0x02;      ///< RFC 5668
   static constexpr std::uint8_t kTypeOpaque = 0x03;           ///< RFC 4360 §3.3
-  static constexpr std::uint8_t kTypeGenericTransitiveExp = 0x80;  ///< RFC 7153 / Flowspec actions
 
   // Sub-types used here.
   static constexpr std::uint8_t kSubTypeRouteTarget = 0x02;
   static constexpr std::uint8_t kSubTypeRouteOrigin = 0x03;
-  static constexpr std::uint8_t kSubTypeFlowspecTrafficRate = 0x06;   ///< RFC 5575 §7
-  static constexpr std::uint8_t kSubTypeFlowspecTrafficAction = 0x07; ///< RFC 5575 §7
 
   constexpr ExtendedCommunity() : bytes_{} {}
   constexpr explicit ExtendedCommunity(const Bytes& bytes) : bytes_(bytes) {}
@@ -68,10 +65,6 @@ class ExtendedCommunity {
   /// type(1) subtype(1) asn(2) local_admin(4).
   static ExtendedCommunity TwoOctetAs(std::uint8_t subtype, std::uint16_t asn,
                                       std::uint32_t local_admin, bool transitive = true);
-
-  /// Flowspec traffic-rate action (RFC 5575 §7): rate as IEEE float, bytes/s.
-  /// A rate of 0 means "drop".
-  static ExtendedCommunity FlowspecTrafficRate(std::uint16_t asn, float bytes_per_second);
 
   [[nodiscard]] const Bytes& bytes() const { return bytes_; }
   [[nodiscard]] std::uint8_t type() const { return bytes_[0]; }
@@ -86,8 +79,6 @@ class ExtendedCommunity {
     return (std::uint32_t{bytes_[4]} << 24) | (std::uint32_t{bytes_[5]} << 16) |
            (std::uint32_t{bytes_[6]} << 8) | std::uint32_t{bytes_[7]};
   }
-  /// For Flowspec traffic-rate communities.
-  [[nodiscard]] float traffic_rate_bytes_per_second() const;
 
   [[nodiscard]] std::string str() const;
   [[nodiscard]] std::uint64_t as_u64() const;

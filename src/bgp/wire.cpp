@@ -30,14 +30,6 @@ util::Result<std::uint32_t> ByteReader::u32() {
   return v;
 }
 
-util::Result<std::uint64_t> ByteReader::u64() {
-  if (remaining() < 8) return Truncated(8, remaining());
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 8;
-  return v;
-}
-
 util::Result<std::vector<std::uint8_t>> ByteReader::bytes(std::size_t n) {
   if (remaining() < n) return Truncated(n, remaining());
   std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),

@@ -58,7 +58,6 @@ class ByteReader {
   util::Result<std::uint8_t> u8();
   util::Result<std::uint16_t> u16();
   util::Result<std::uint32_t> u32();
-  util::Result<std::uint64_t> u64();
   /// Reads exactly n bytes.
   util::Result<std::vector<std::uint8_t>> bytes(std::size_t n);
   /// Returns a sub-reader over the next n bytes and skips them.

@@ -134,16 +134,6 @@ void Normalize(Signal& signal) {
                      signal.rules.end());
 }
 
-template <typename Community>
-util::Result<Signal> DecodeNamespace(bgp::Asn ixp_asn, std::span<const Community> communities) {
-  Signal signal;
-  if (const auto found = Collect(ixp_asn, communities, signal); !found.ok()) {
-    return found.error();
-  }
-  Normalize(signal);
-  return signal;
-}
-
 }  // namespace
 
 std::string_view ToString(RuleKind kind) {
@@ -175,12 +165,10 @@ util::Result<std::vector<bgp::LargeCommunity>> EncodeSignalLarge(std::uint32_t i
 
 util::Result<Signal> DecodeSignal(std::uint16_t ixp_asn,
                                   std::span<const bgp::ExtendedCommunity> ecs) {
-  return DecodeNamespace(ixp_asn, ecs);
-}
-
-util::Result<Signal> DecodeSignalLarge(std::uint32_t ixp_asn,
-                                       std::span<const bgp::LargeCommunity> lcs) {
-  return DecodeNamespace(ixp_asn, lcs);
+  Signal signal;
+  if (const auto found = Collect(ixp_asn, ecs, signal); !found.ok()) return found.error();
+  Normalize(signal);
+  return signal;
 }
 
 util::Result<std::optional<Signal>> DecodeRouteSignal(

@@ -85,14 +85,12 @@ struct Signal {
 [[nodiscard]] util::Result<std::vector<bgp::LargeCommunity>> EncodeSignalLarge(
     std::uint32_t ixp_asn, const Signal& signal);
 
-/// Extracts a Stellar signal from one namespace's communities. Returns an
+/// Extracts a Stellar signal from extended communities. Returns an
 /// empty-rules Signal if no Stellar communities are present. Duplicate match
 /// communities deduplicate; action communities with conflicting rates are an
 /// error (never silent last-wins).
 [[nodiscard]] util::Result<Signal> DecodeSignal(std::uint16_t ixp_asn,
                                                 std::span<const bgp::ExtendedCommunity> ecs);
-[[nodiscard]] util::Result<Signal> DecodeSignalLarge(
-    std::uint32_t ixp_asn, std::span<const bgp::LargeCommunity> lcs);
 
 /// Extracts the Stellar signal a route carries, reading both namespaces in
 /// one pass (the extended one only when the IXP's ASN fits two octets).

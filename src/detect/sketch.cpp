@@ -1,7 +1,6 @@
 #include "detect/sketch.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace stellar::detect {
@@ -27,13 +26,6 @@ CountMinSketch::CountMinSketch(std::size_t width, std::size_t depth, std::uint64
       row_seeds_(depth_),
       cells_(depth_) {
   for (std::size_t row = 0; row < depth_; ++row) row_seeds_[row] = Mix64(seed + row);
-}
-
-CountMinSketch CountMinSketch::ForError(double eps, double delta, std::uint64_t seed) {
-  assert(eps > 0.0 && delta > 0.0 && delta < 1.0);
-  const auto width = static_cast<std::size_t>(std::ceil(std::exp(1.0) / eps));
-  const auto depth = static_cast<std::size_t>(std::ceil(std::log(1.0 / delta)));
-  return CountMinSketch(width, depth, seed);
 }
 
 std::size_t CountMinSketch::cell(std::size_t row, std::uint64_t key) const {
@@ -66,11 +58,6 @@ std::uint64_t CountMinSketch::estimate(std::uint64_t key) const {
 void CountMinSketch::halve() {
   for (auto& c : table_) c /= 2;
   total_ /= 2;
-}
-
-void CountMinSketch::clear() {
-  std::fill(table_.begin(), table_.end(), 0);
-  total_ = 0;
 }
 
 // -- SpaceSaving -------------------------------------------------------------
@@ -124,12 +111,6 @@ void SpaceSaving::halve() {
   total_ /= 2;
 }
 
-void SpaceSaving::clear() {
-  entries_.clear();
-  index_.clear();
-  total_ = 0;
-}
-
 // -- WindowedEntropy ---------------------------------------------------------
 
 WindowedEntropy::WindowedEntropy(std::size_t window_bins)
@@ -171,13 +152,6 @@ double WindowedEntropy::entropy_bits() const {
 double WindowedEntropy::normalized() const {
   if (aggregate_.size() < 2) return 0.0;
   return entropy_bits() / std::log2(static_cast<double>(aggregate_.size()));
-}
-
-void WindowedEntropy::clear() {
-  bins_.clear();
-  bins_.emplace_back();
-  aggregate_.clear();
-  total_ = 0;
 }
 
 }  // namespace stellar::detect

@@ -35,14 +35,10 @@ class CountMinSketch {
  public:
   CountMinSketch(std::size_t width, std::size_t depth, std::uint64_t seed = 1);
 
-  /// Sizes the sketch for estimate(k) <= count(k) + eps * total() with
-  /// probability >= 1 - delta: width = ceil(e / eps), depth = ceil(ln(1/delta)).
-  static CountMinSketch ForError(double eps, double delta, std::uint64_t seed = 1);
-
   void add(std::uint64_t key, std::uint64_t count);
   [[nodiscard]] std::uint64_t estimate(std::uint64_t key) const;
 
-  /// Total count added since construction / last clear (halved by halve()).
+  /// Total count added since construction (halved by halve()).
   [[nodiscard]] std::uint64_t total() const { return total_; }
   [[nodiscard]] std::size_t width() const { return width_; }
   [[nodiscard]] std::size_t depth() const { return depth_; }
@@ -51,7 +47,6 @@ class CountMinSketch {
   /// engines forget stale traffic while preserving the no-underestimate
   /// property relative to the equally-decayed exact counts.
   void halve();
-  void clear();
 
  private:
   [[nodiscard]] std::size_t cell(std::size_t row, std::uint64_t key) const;
@@ -88,7 +83,6 @@ class SpaceSaving {
   [[nodiscard]] std::uint64_t total() const { return total_; }
 
   void halve();
-  void clear();
 
  private:
   std::size_t capacity_;
@@ -119,8 +113,6 @@ class WindowedEntropy {
 
   [[nodiscard]] std::size_t distinct() const { return aggregate_.size(); }
   [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  void clear();
 
  private:
   std::size_t window_bins_;

@@ -20,21 +20,6 @@ class LookingGlass {
   template <typename PrefixT>
   [[nodiscard]] std::vector<std::string> show_route(const PrefixT& prefix) const;
 
-  /// Summary line per prefix in the RIB.
-  [[nodiscard]] std::vector<std::string> show_rib_summary() const;
-
-  /// Session / hygiene counters.
-  [[nodiscard]] std::string show_status() const;
-
-  /// Process-wide metrics view (paper §4.3's debugging story extended to the
-  /// observability plane): Prometheus-style text exposition of the global
-  /// obs registry.
-  [[nodiscard]] std::string show_metrics() const;
-
-  /// Per-stage signal-path latency breakdown for a signaling prefix, one
-  /// line per stage ("stage t=<sim s> +<delta s>"); empty if never traced.
-  [[nodiscard]] std::vector<std::string> show_signal_path(const net::Prefix4& prefix) const;
-
  private:
   const RouteServer& server_;
 };

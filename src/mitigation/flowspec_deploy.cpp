@@ -29,8 +29,6 @@ std::size_t InterdomainFlowspec::announce(const bgp::flowspec::Rule& rule,
   return installed;
 }
 
-void InterdomainFlowspec::withdraw_all() { installed_.clear(); }
-
 bool InterdomainFlowspec::peer_drops(bgp::Asn peer, const net::FlowKey& flow) const {
   const auto it = installed_.find(peer);
   if (it == installed_.end()) return false;
@@ -52,11 +50,6 @@ std::size_t InterdomainFlowspec::accepting_peers() const {
     if (accepted) ++n;
   }
   return n;
-}
-
-bool InterdomainFlowspec::peer_accepts(bgp::Asn peer) const {
-  const auto it = accepts_.find(peer);
-  return it != accepts_.end() && it->second;
 }
 
 }  // namespace stellar::mitigation

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bgp/flowspec.hpp"
+#include "bgp/types.hpp"
 #include "util/rng.hpp"
 
 namespace stellar::mitigation {
@@ -26,9 +27,6 @@ class InterdomainFlowspec {
   /// that accepted and installed it.
   std::size_t announce(const bgp::flowspec::Rule& rule, const bgp::flowspec::Action& action);
 
-  /// Withdraws every rule previously announced.
-  void withdraw_all();
-
   /// Does `peer` filter this flow at its edge (before the IXP)?
   /// Rate-limit actions are approximated: a rule with a non-drop rate counts
   /// as matching only the excess share, which the fluid caller handles by
@@ -36,7 +34,6 @@ class InterdomainFlowspec {
   [[nodiscard]] bool peer_drops(bgp::Asn peer, const net::FlowKey& flow) const;
 
   [[nodiscard]] std::size_t accepting_peers() const;
-  [[nodiscard]] bool peer_accepts(bgp::Asn peer) const;
 
  private:
   struct Installed {

@@ -8,10 +8,6 @@ void TriggerRtbh(ixp::MemberRouter& victim, const net::Prefix4& prefix,
   victim.announce(prefix, std::move(scope));
 }
 
-void WithdrawRtbh(ixp::MemberRouter& victim, const net::Prefix4& prefix) {
-  victim.withdraw(prefix);
-}
-
 RtbhCompliance MeasureCompliance(const ixp::Ixp& ixp, const net::Prefix4& prefix,
                                  bgp::Asn victim_asn) {
   RtbhCompliance compliance;

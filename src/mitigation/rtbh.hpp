@@ -1,7 +1,8 @@
 // Classic Remotely Triggered Black Hole (RTBH) — the baseline Stellar
 // improves on. The mechanics live in the IXP substrate (route server rewrites
 // the next-hop, honoring members drop at ingress); this module provides the
-// trigger/withdraw operations and the compliance measurements of §2.4.
+// trigger operation and the compliance measurements of §2.4. A victim ends
+// the blackhole with MemberRouter::withdraw.
 #pragma once
 
 #include <vector>
@@ -15,9 +16,6 @@ namespace stellar::mitigation {
 /// communities restrict the audience (Fig. 3b's "All-k" / targeted patterns).
 void TriggerRtbh(ixp::MemberRouter& victim, const net::Prefix4& prefix,
                  std::vector<bgp::Community> scope = {});
-
-/// Withdraws the blackhole route; traffic resumes at the next propagation.
-void WithdrawRtbh(ixp::MemberRouter& victim, const net::Prefix4& prefix);
 
 /// How many members actually act on a blackhole announcement (paper §2.4:
 /// "almost 70% of these IXP members do not honor the blackholing community").

@@ -49,7 +49,6 @@ std::string_view ToString(EventKind kind) {
 }
 
 void Journal::append(double t_s, EventKind kind, std::string subject, std::string detail) {
-  if (!enabled_) return;
   events_.push_back(JournalEvent{t_s, kind, std::move(subject), std::move(detail)});
 }
 
@@ -66,15 +65,6 @@ std::string Journal::csv() const {
   for (const JournalEvent& ev : events_) {
     out += FormatTime(ev.t_s) + "," + std::string(ToString(ev.kind)) + "," +
            CsvField(ev.subject) + "," + CsvField(ev.detail) + "\n";
-  }
-  return out;
-}
-
-std::string Journal::jsonl() const {
-  std::string out;
-  for (const JournalEvent& ev : events_) {
-    out += "{\"t_s\":" + FormatTime(ev.t_s) + ",\"kind\":\"" + std::string(ToString(ev.kind)) +
-           "\",\"subject\":\"" + ev.subject + "\",\"detail\":\"" + ev.detail + "\"}\n";
   }
   return out;
 }

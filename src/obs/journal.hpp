@@ -4,7 +4,7 @@
 // trigger/clear — kept in a util::RingLog so week-long chaos runs cannot leak.
 // Records carry the caller's clock (production code passes sim time; the
 // detect engine passes experiment-relative bin time), and both the append
-// order and the CSV/JSONL dumps are deterministic: same seed, same scenario,
+// order and the CSV dump are deterministic: same seed, same scenario,
 // byte-identical journal (asserted by tests/integration/chaos_test).
 #pragma once
 
@@ -60,9 +60,6 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
   void append(double t_s, EventKind kind, std::string subject, std::string detail = "");
 
   [[nodiscard]] const util::RingLog<JournalEvent>& events() const { return events_; }
@@ -71,14 +68,12 @@ class Journal {
 
   /// CSV dump: header + "t_s,kind,subject,detail" rows in append order.
   [[nodiscard]] std::string csv() const;
-  [[nodiscard]] std::string jsonl() const;
 
   void clear() { events_.clear(); }
 
   static Journal& global();
 
  private:
-  bool enabled_ = true;
   util::RingLog<JournalEvent> events_;
 };
 

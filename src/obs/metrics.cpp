@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -28,12 +27,6 @@ std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;
-}
-
-const char* KindName(bool is_counter, bool is_gauge) {
-  if (is_counter) return "counter";
-  if (is_gauge) return "gauge";
-  return "histogram";
 }
 
 }  // namespace
@@ -114,21 +107,6 @@ double HistogramData::percentile(double pct) const {
   return max_;
 }
 
-void HistogramData::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
-HistogramData Histogram::Merge(const HistogramData& a, const HistogramData& b) {
-  HistogramData out(a.options());
-  out.merge(a);
-  out.merge(b);
-  return out;
-}
-
 Registry::Family& Registry::family(const std::string& name, Kind kind, std::string help) {
   if (!ValidName(name)) {
     throw std::invalid_argument("obs: invalid metric name '" + name + "'");
@@ -149,12 +127,6 @@ Counter Registry::counter(const std::string& name, std::string help) {
   Family& fam = family(name, Kind::kCounter, std::move(help));
   fam.counters.push_back(std::make_unique<internal::CounterCell>());
   return Counter(fam.counters.back().get(), &armed_);
-}
-
-Gauge Registry::gauge(const std::string& name, std::string help) {
-  Family& fam = family(name, Kind::kGauge, std::move(help));
-  fam.gauges.push_back(std::make_unique<internal::GaugeCell>());
-  return Gauge(fam.gauges.back().get(), &armed_);
 }
 
 Histogram Registry::histogram(const std::string& name, HistogramOptions options,
@@ -178,17 +150,6 @@ std::uint64_t Registry::counter_total(const std::string& name) const {
   return total;
 }
 
-HistogramData Registry::histogram_merged(const std::string& name) const {
-  const auto it = families_.find(name);
-  if (it == families_.end() || it->second.kind != Kind::kHistogram ||
-      it->second.histograms.empty()) {
-    return HistogramData{};
-  }
-  HistogramData out(it->second.options);
-  for (const auto& cell : it->second.histograms) out.merge(*cell);
-  return out;
-}
-
 std::string Registry::expose_text() const {
   std::string out;
   for (const auto& [name, fam] : families_) {
@@ -200,13 +161,6 @@ std::string Registry::expose_text() const {
         std::uint64_t total = 0;
         for (const auto& cell : fam.counters) total += cell->value;
         out += ename + " " + std::to_string(total) + "\n";
-        break;
-      }
-      case Kind::kGauge: {
-        out += "# TYPE " + ename + " gauge\n";
-        double total = 0.0;
-        for (const auto& cell : fam.gauges) total += cell->value;
-        out += ename + " " + FormatDouble(total) + "\n";
         break;
       }
       case Kind::kHistogram: {
@@ -235,20 +189,13 @@ std::string Registry::snapshot_jsonl() const {
   std::string out;
   for (const auto& [name, fam] : families_) {
     out += "{\"name\":\"" + name + "\",\"type\":\"" +
-           KindName(fam.kind == Kind::kCounter, fam.kind == Kind::kGauge) + "\"";
+           (fam.kind == Kind::kCounter ? "counter" : "histogram") + "\"";
     switch (fam.kind) {
       case Kind::kCounter: {
         std::uint64_t total = 0;
         for (const auto& cell : fam.counters) total += cell->value;
         out += ",\"instances\":" + std::to_string(fam.counters.size()) +
                ",\"value\":" + std::to_string(total);
-        break;
-      }
-      case Kind::kGauge: {
-        double total = 0.0;
-        for (const auto& cell : fam.gauges) total += cell->value;
-        out += ",\"instances\":" + std::to_string(fam.gauges.size()) +
-               ",\"value\":" + FormatDouble(total);
         break;
       }
       case Kind::kHistogram: {
@@ -271,15 +218,6 @@ std::string Registry::snapshot_jsonl() const {
     out += "}\n";
   }
   return out;
-}
-
-void Registry::reset_values() {
-  for (auto& [name, fam] : families_) {
-    (void)name;
-    for (auto& cell : fam.counters) cell->value = 0;
-    for (auto& cell : fam.gauges) cell->value = 0.0;
-    for (auto& cell : fam.histograms) cell->reset();
-  }
 }
 
 Registry& Registry::global() {

@@ -1,5 +1,5 @@
 // Process-wide metrics registry (the first leg of the observability plane):
-// named counters, gauges, and log-bucketed histograms with near-free hot-path
+// named counters and log-bucketed histograms with near-free hot-path
 // increments. Components register *instance cells* under a shared family name
 // — the registry sums cells for exposition while each component keeps a
 // private view, so per-object accessors (EdgeRouter::tcam_release_errors,
@@ -36,8 +36,7 @@ struct HistogramOptions {
 };
 
 /// The histogram payload: bucket counts plus exact count/sum/min/max.
-/// Separable from the handle so families can be merged for exposition and
-/// tests can merge two histograms directly.
+/// Separable from the handle so families can be merged for exposition.
 class HistogramData {
  public:
   explicit HistogramData(HistogramOptions options = {});
@@ -62,8 +61,6 @@ class HistogramData {
   /// Upper bound of finite bucket i (i < bucket_count).
   [[nodiscard]] double upper_bound(std::size_t bucket) const { return bounds_[bucket]; }
 
-  void reset();
-
  private:
   [[nodiscard]] std::size_t bucket_for(double value) const;
 
@@ -79,9 +76,6 @@ class HistogramData {
 namespace internal {
 struct CounterCell {
   std::uint64_t value = 0;
-};
-struct GaugeCell {
-  double value = 0.0;
 };
 }  // namespace internal
 
@@ -102,25 +96,6 @@ class Counter {
   const bool* armed_;
 };
 
-/// Point-in-time value (queue depths, penalties).
-class Gauge {
- public:
-  void set(double v) {
-    if (*armed_) cell_->value = v;
-  }
-  void add(double delta) {
-    if (*armed_) cell_->value += delta;
-  }
-  [[nodiscard]] double value() const { return cell_->value; }
-
- private:
-  friend class Registry;
-  Gauge(internal::GaugeCell* cell, const bool* armed) : cell_(cell), armed_(armed) {}
-
-  internal::GaugeCell* cell_;
-  const bool* armed_;
-};
-
 /// Log-bucketed latency/size distribution.
 class Histogram {
  public:
@@ -131,9 +106,6 @@ class Histogram {
   [[nodiscard]] std::uint64_t count() const { return cell_->count(); }
   [[nodiscard]] double sum() const { return cell_->sum(); }
   [[nodiscard]] const HistogramData& data() const { return *cell_; }
-
-  /// Merged copy of two histograms (same bucket layout required).
-  static HistogramData Merge(const HistogramData& a, const HistogramData& b);
 
  private:
   friend class Registry;
@@ -154,7 +126,6 @@ class Registry {
   /// characters are [A-Za-z0-9_.]. Throws std::invalid_argument on a bad
   /// name and std::logic_error when `name` already exists as another kind.
   Counter counter(const std::string& name, std::string help = "");
-  Gauge gauge(const std::string& name, std::string help = "");
   /// Histogram families additionally require every registration to agree on
   /// the bucket options; a mismatch throws std::logic_error.
   Histogram histogram(const std::string& name, HistogramOptions options = {},
@@ -167,8 +138,6 @@ class Registry {
   [[nodiscard]] std::size_t family_count() const { return families_.size(); }
   /// Total value of a counter family (sum over instance cells); 0 if absent.
   [[nodiscard]] std::uint64_t counter_total(const std::string& name) const;
-  /// Merged histogram of a family (empty histogram if absent).
-  [[nodiscard]] HistogramData histogram_merged(const std::string& name) const;
 
   /// Prometheus-style text exposition: families in name order, dots mapped
   /// to underscores, instance cells summed / merged.
@@ -176,21 +145,17 @@ class Registry {
   /// One JSON object per family per line (machine-readable snapshot).
   [[nodiscard]] std::string snapshot_jsonl() const;
 
-  /// Zeroes every cell without unregistering families (handles stay valid).
-  void reset_values();
-
   /// The process-wide registry every production component registers with.
   static Registry& global();
 
  private:
-  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
+  enum class Kind : std::uint8_t { kCounter, kHistogram };
 
   struct Family {
     Kind kind = Kind::kCounter;
     std::string help;
     HistogramOptions options;  ///< Histogram families only.
     std::vector<std::unique_ptr<internal::CounterCell>> counters;
-    std::vector<std::unique_ptr<internal::GaugeCell>> gauges;
     std::vector<std::unique_ptr<HistogramData>> histograms;
   };
 

@@ -14,12 +14,6 @@ std::string FormatTime(double t_s) {
 
 }  // namespace
 
-void Span::end(double t_s) {
-  if (tracer_ == nullptr) return;
-  tracer_->end_span(trace_id_, event_index_, t_s);
-  tracer_ = nullptr;
-}
-
 Tracer::TraceRec* Tracer::record_for(const std::string& trace_id) {
   auto it = traces_.find(trace_id);
   if (it == traces_.end()) {
@@ -38,24 +32,9 @@ Tracer::TraceRec* Tracer::record_for(const std::string& trace_id) {
 }
 
 void Tracer::mark(const std::string& trace_id, std::string_view stage, double t_s) {
-  if (!enabled_) return;
   TraceRec* rec = record_for(trace_id);
   if (rec == nullptr) return;
   rec->events.push_back(TraceEvent{std::string(stage), t_s, t_s});
-}
-
-Span Tracer::begin_span(const std::string& trace_id, std::string_view stage, double t_s) {
-  if (!enabled_) return Span{};
-  TraceRec* rec = record_for(trace_id);
-  if (rec == nullptr) return Span{};
-  rec->events.push_back(TraceEvent{std::string(stage), t_s, t_s});
-  return Span(this, trace_id, rec->events.size() - 1);
-}
-
-void Tracer::end_span(const std::string& trace_id, std::size_t event_index, double t_s) {
-  const auto it = traces_.find(trace_id);
-  if (it == traces_.end() || event_index >= it->second.events.size()) return;
-  it->second.events[event_index].end_s = t_s;
 }
 
 std::vector<Tracer::Stage> Tracer::breakdown(const std::string& trace_id) const {
@@ -93,10 +72,6 @@ std::vector<TraceEvent> Tracer::events(const std::string& trace_id) const {
   return it->second.events;
 }
 
-std::vector<std::string> Tracer::trace_ids() const {
-  return {order_.begin(), order_.end()};
-}
-
 std::string Tracer::csv() const {
   std::string out = "trace,stage,start_s,end_s\n";
   for (const std::string& id : order_) {
@@ -108,26 +83,6 @@ std::string Tracer::csv() const {
     }
   }
   return out;
-}
-
-std::string Tracer::jsonl() const {
-  std::string out;
-  for (const std::string& id : order_) {
-    const auto it = traces_.find(id);
-    if (it == traces_.end()) continue;
-    for (const TraceEvent& ev : it->second.events) {
-      out += "{\"trace\":\"" + id + "\",\"stage\":\"" + ev.stage +
-             "\",\"start_s\":" + FormatTime(ev.start_s) + ",\"end_s\":" + FormatTime(ev.end_s) +
-             "}\n";
-    }
-  }
-  return out;
-}
-
-void Tracer::clear() {
-  traces_.clear();
-  order_.clear();
-  dropped_events_ = 0;
 }
 
 Tracer& Tracer::global() {

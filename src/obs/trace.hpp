@@ -11,9 +11,6 @@
 // the deltas telescope, so per-stage spans sum *exactly* to the end-to-end
 // signal→install latency. Trace ids are stable strings; the signal path keys
 // traces by announced prefix ("100.10.10.10/32").
-//
-// Spans (begin/end pairs) are also supported for stages with duration; they
-// are exported in dumps but breakdown() is defined over marks.
 #pragma once
 
 #include <cstddef>
@@ -29,27 +26,7 @@ namespace stellar::obs {
 struct TraceEvent {
   std::string stage;
   double start_s = 0.0;
-  double end_s = 0.0;  ///< == start_s for point marks.
-};
-
-class Tracer;
-
-/// Handle for an in-flight duration span. Default-constructed spans are
-/// inert; end() is a no-op once the owning trace has been evicted.
-class Span {
- public:
-  Span() = default;
-  void end(double t_s);
-  [[nodiscard]] bool active() const { return tracer_ != nullptr; }
-
- private:
-  friend class Tracer;
-  Span(Tracer* tracer, std::string trace_id, std::size_t event_index)
-      : tracer_(tracer), trace_id_(std::move(trace_id)), event_index_(event_index) {}
-
-  Tracer* tracer_ = nullptr;
-  std::string trace_id_;
-  std::size_t event_index_ = 0;
+  double end_s = 0.0;  ///< == start_s: every event is a point mark.
 };
 
 class Tracer {
@@ -64,13 +41,8 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
   /// Records that `trace_id` reached `stage` at time `t_s`.
   void mark(const std::string& trace_id, std::string_view stage, double t_s);
-  /// Opens a duration span; close it with Span::end(t_s).
-  Span begin_span(const std::string& trace_id, std::string_view stage, double t_s);
 
   /// Per-stage latency breakdown: first occurrence of each stage, ordered by
   /// time. delta_s is the time since the previous stage (0 for the first),
@@ -83,30 +55,22 @@ class Tracer {
   [[nodiscard]] std::vector<Stage> breakdown(const std::string& trace_id) const;
 
   [[nodiscard]] std::vector<TraceEvent> events(const std::string& trace_id) const;
-  [[nodiscard]] std::vector<std::string> trace_ids() const;
   [[nodiscard]] std::size_t trace_count() const { return traces_.size(); }
   [[nodiscard]] std::uint64_t dropped_events() const { return dropped_events_; }
 
   /// CSV dump: header + one row per event (trace,stage,start_s,end_s).
   [[nodiscard]] std::string csv() const;
-  [[nodiscard]] std::string jsonl() const;
-
-  void clear();
 
   static Tracer& global();
 
  private:
-  friend class Span;
-
   struct TraceRec {
     std::vector<TraceEvent> events;
   };
 
   TraceRec* record_for(const std::string& trace_id);
-  void end_span(const std::string& trace_id, std::size_t event_index, double t_s);
 
   Options options_;
-  bool enabled_ = true;
   std::map<std::string, TraceRec> traces_;
   std::deque<std::string> order_;  ///< Insertion order, drives FIFO eviction.
   std::uint64_t dropped_events_ = 0;

@@ -55,17 +55,6 @@ void FlowCollector::ingest(std::span<const net::FlowSample> samples) {
   for (const auto& s : samples) ingest(s);
 }
 
-double FlowCollector::mbps_at(double t_s) const {
-  const auto it = bins_.find(bin_index(t_s));
-  if (it == bins_.end()) return 0.0;
-  return static_cast<double>(it->second.bytes) * 8.0 / 1e6 / bin_s_;
-}
-
-std::size_t FlowCollector::peers_at(double t_s) const {
-  const auto it = bins_.find(bin_index(t_s));
-  return it == bins_.end() ? 0 : it->second.peers.size();
-}
-
 std::uint64_t FlowCollector::total_bytes(double t0_s, double t1_s) const {
   std::uint64_t total = 0;
   for (auto it = bins_.lower_bound(bin_index(t0_s)); it != bins_.end(); ++it) {
@@ -109,29 +98,6 @@ std::map<std::uint16_t, double> FlowCollector::udp_src_port_shares(double t0_s,
     shares[port] = static_cast<double>(b) / static_cast<double>(total);
   }
   return shares;
-}
-
-std::vector<std::pair<std::uint16_t, std::uint64_t>> FlowCollector::top_service_ports(
-    double t0_s, double t1_s, std::size_t k) const {
-  std::map<std::uint16_t, std::uint64_t> bytes;
-  for (auto it = bins_.lower_bound(bin_index(t0_s)); it != bins_.end(); ++it) {
-    if (it->second.start_s >= t1_s) break;
-    for (const auto& [port, b] : it->second.bytes_by_service_port) bytes[port] += b;
-  }
-  std::vector<std::pair<std::uint16_t, std::uint64_t>> sorted(bytes.begin(), bytes.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  if (sorted.size() > k) sorted.resize(k);
-  return sorted;
-}
-
-std::size_t FlowCollector::distinct_peers(double t0_s, double t1_s) const {
-  std::unordered_set<net::MacAddress> peers;
-  for (auto it = bins_.lower_bound(bin_index(t0_s)); it != bins_.end(); ++it) {
-    if (it->second.start_s >= t1_s) break;
-    peers.insert(it->second.peers.begin(), it->second.peers.end());
-  }
-  return peers.size();
 }
 
 std::pair<double, double> FlowCollector::protocol_shares(double t0_s, double t1_s) const {

@@ -44,11 +44,6 @@ class FlowCollector {
   [[nodiscard]] const std::map<std::int64_t, Bin>& bins() const { return bins_; }
   [[nodiscard]] double bin_width_s() const { return bin_s_; }
 
-  /// Mbps of a given bin (0 if empty).
-  [[nodiscard]] double mbps_at(double t_s) const;
-  /// Distinct peers within a bin.
-  [[nodiscard]] std::size_t peers_at(double t_s) const;
-
   // -- Window aggregates [t0, t1) ------------------------------------------
   [[nodiscard]] std::uint64_t total_bytes(double t0_s, double t1_s) const;
   /// Share (0..1) of each service port's bytes in the window.
@@ -59,13 +54,6 @@ class FlowCollector {
                                                                     double t1_s) const;
   /// UDP (first) and TCP (second) byte shares in the window.
   [[nodiscard]] std::pair<double, double> protocol_shares(double t0_s, double t1_s) const;
-
-  /// Top-k service ports by byte volume in [t0, t1), descending.
-  [[nodiscard]] std::vector<std::pair<std::uint16_t, std::uint64_t>> top_service_ports(
-      double t0_s, double t1_s, std::size_t k) const;
-
-  /// Distinct peers (source member routers) seen in [t0, t1).
-  [[nodiscard]] std::size_t distinct_peers(double t0_s, double t1_s) const;
 
   void clear() { bins_.clear(); }
 

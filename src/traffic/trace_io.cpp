@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 namespace stellar::traffic {
 
@@ -52,12 +51,6 @@ void WriteFlowCsv(std::ostream& out, std::span<const net::FlowSample> samples) {
         << s.key.dst_ip.str() << ',' << net::ToString(s.key.proto) << ',' << s.key.src_port
         << ',' << s.key.dst_port << ',' << s.bytes << ',' << s.packets << '\n';
   }
-}
-
-std::string FlowsToCsv(std::span<const net::FlowSample> samples) {
-  std::ostringstream out;
-  WriteFlowCsv(out, samples);
-  return out.str();
 }
 
 util::Result<std::vector<net::FlowSample>> ReadFlowCsv(std::istream& in) {

@@ -23,7 +23,6 @@ inline constexpr std::string_view kFlowCsvHeader =
 
 /// Serializes samples (header + one line per sample).
 void WriteFlowCsv(std::ostream& out, std::span<const net::FlowSample> samples);
-[[nodiscard]] std::string FlowsToCsv(std::span<const net::FlowSample> samples);
 
 /// Parses a CSV document. Strict: a malformed header, field count, or value
 /// fails with the offending line number in the error message. Blank lines

@@ -1,7 +1,6 @@
 #include "util/ascii.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -46,26 +45,6 @@ std::string FormatDouble(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);
   return buf;
-}
-
-std::string BarChart(const std::vector<std::pair<std::string, double>>& entries, int width,
-                     int precision) {
-  double max_v = 0.0;
-  std::size_t max_label = 0;
-  for (const auto& [label, v] : entries) {
-    max_v = std::max(max_v, v);
-    max_label = std::max(max_label, label.size());
-  }
-  std::ostringstream out;
-  for (const auto& [label, v] : entries) {
-    out << label << std::string(max_label - label.size(), ' ') << " | ";
-    const int bars = max_v > 0.0
-                         ? static_cast<int>(std::lround(v / max_v * width))
-                         : 0;
-    if (bars > 0) out << std::string(static_cast<std::size_t>(bars), '#') << ' ';
-    out << FormatDouble(v, precision) << '\n';
-  }
-  return out.str();
 }
 
 std::string SeriesTable(const std::string& x_label, const std::vector<double>& xs,

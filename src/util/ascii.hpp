@@ -1,4 +1,4 @@
-// Plain-text rendering of tables, bar charts, time series, and CDFs for the
+// Plain-text rendering of tables and time series for the
 // benchmark harness. Every figure/table bench prints through these so the
 // output is comparable against the paper's plots at a glance.
 #pragma once
@@ -28,11 +28,6 @@ class TextTable {
 
 /// Format a double with fixed precision (locale-independent).
 std::string FormatDouble(double v, int precision = 2);
-
-/// Horizontal bar chart: one labelled bar per entry, scaled to `width` chars.
-///   443    | #################### 55.20
-std::string BarChart(const std::vector<std::pair<std::string, double>>& entries,
-                     int width = 50, int precision = 2);
 
 /// Multi-series time-series rendering as aligned columns (t, s1, s2, ...).
 std::string SeriesTable(const std::string& x_label, const std::vector<double>& xs,

@@ -38,8 +38,6 @@ double Percentile(std::span<const double> xs, double pct) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-double Median(std::span<const double> xs) { return Percentile(xs, 50.0); }
-
 double ConfidenceHalfWidth95(std::span<const double> xs) {
   if (xs.size() < 2) return 0.0;
   return 1.96 * SampleStdDev(xs) / std::sqrt(static_cast<double>(xs.size()));

@@ -21,8 +21,6 @@ double SampleStdDev(std::span<const double> xs);
 /// Requires a non-empty input; the input need not be sorted.
 double Percentile(std::span<const double> xs, double pct);
 
-double Median(std::span<const double> xs);
-
 /// Two-sided 95% confidence half-width of the mean (normal approximation).
 double ConfidenceHalfWidth95(std::span<const double> xs);
 

@@ -141,25 +141,6 @@ TEST(FlowspecMatchTest, PortComponentMatchesEitherDirection) {
   EXPECT_FALSE(rule.matches(flow));
 }
 
-TEST(FlowspecActionTest, TrafficRateExtendedCommunity) {
-  Action drop{0.0f};
-  const auto ec = drop.to_extended_community(64500);
-  const auto parsed = Action::from_extended_communities({&ec, 1});
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_FLOAT_EQ(*parsed->rate_limit_bytes_per_s, 0.0f);
-
-  Action limit{25'000'000.0f};
-  const auto ec2 = limit.to_extended_community(64500);
-  const auto parsed2 = Action::from_extended_communities({&ec2, 1});
-  ASSERT_TRUE(parsed2.has_value());
-  EXPECT_FLOAT_EQ(*parsed2->rate_limit_bytes_per_s, 25'000'000.0f);
-}
-
-TEST(FlowspecActionTest, AbsentWhenNoRateCommunity) {
-  const auto ec = ExtendedCommunity::TwoOctetAs(0x02, 64500, 1);
-  EXPECT_FALSE(Action::from_extended_communities({&ec, 1}).has_value());
-}
-
 // Property: random well-formed rules round-trip through the codec.
 class FlowspecRoundTripTest : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -30,14 +30,6 @@ TEST(ExtendedCommunityTest, NonTransitiveBit) {
   EXPECT_FALSE(ec.transitive());
 }
 
-TEST(ExtendedCommunityTest, FlowspecTrafficRateRoundTrip) {
-  const auto ec = ExtendedCommunity::FlowspecTrafficRate(64500, 12'500'000.0f);
-  EXPECT_EQ(ec.subtype(), ExtendedCommunity::kSubTypeFlowspecTrafficRate);
-  EXPECT_FLOAT_EQ(ec.traffic_rate_bytes_per_second(), 12'500'000.0f);
-  EXPECT_FLOAT_EQ(ExtendedCommunity::FlowspecTrafficRate(1, 0.0f).traffic_rate_bytes_per_second(),
-                  0.0f);
-}
-
 TEST(OpenMessageTest, EncodeDecodeRoundTrip) {
   OpenMessage open;
   open.my_asn = 64500;
@@ -265,10 +257,6 @@ TEST(PathAttributesTest, Helpers) {
   attrs.add_community(kBlackhole);
   EXPECT_EQ(attrs.communities.size(), 1u);
   EXPECT_TRUE(attrs.has_community(kBlackhole));
-  attrs.remove_community(kBlackhole);
-  EXPECT_FALSE(attrs.has_community(kBlackhole));
-  attrs.prepend_asn(99);
-  EXPECT_EQ(attrs.as_path.front().asns.front(), 99u);
 }
 
 TEST(PathAttributesTest, OriginAsnEmptyPath) {

@@ -15,6 +15,14 @@ net::Prefix4 P4(const char* text) { return net::Prefix4::Parse(text).value(); }
 
 constexpr std::uint32_t kBigIxpAsn = 4'200'000'001;  // 4-byte private-use range.
 
+/// The large namespace alone, through the shipped route decoder: an empty
+/// Signal when the communities carry no Stellar signal.
+util::Result<Signal> DecodeLarge(std::uint32_t ixp_asn, std::span<const bgp::LargeCommunity> lcs) {
+  auto decoded = DecodeRouteSignal(ixp_asn, {}, lcs);
+  if (!decoded.ok()) return decoded.error();
+  return decoded->value_or(Signal{});
+}
+
 TEST(SignalLargeTest, RoundTrip) {
   Signal signal;
   signal.rules.push_back({RuleKind::kUdpSrcPort, net::kPortNtp});
@@ -23,7 +31,7 @@ TEST(SignalLargeTest, RoundTrip) {
   const auto lcs = EncodeSignalLarge(kBigIxpAsn, signal).value();
   ASSERT_EQ(lcs.size(), 3u);
   EXPECT_EQ(lcs[0].global_admin, kBigIxpAsn);
-  const auto decoded = DecodeSignalLarge(kBigIxpAsn, lcs);
+  const auto decoded = DecodeLarge(kBigIxpAsn, lcs);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, signal);
 }
@@ -33,7 +41,7 @@ TEST(SignalLargeTest, IgnoresForeignNamespace) {
   signal.rules.push_back({RuleKind::kUdpSrcPort, 123});
   auto lcs = EncodeSignalLarge(kBigIxpAsn, signal).value();
   lcs.push_back(bgp::LargeCommunity{999, 1, 2});  // Someone else's community.
-  const auto decoded = DecodeSignalLarge(kBigIxpAsn, lcs);
+  const auto decoded = DecodeLarge(kBigIxpAsn, lcs);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->rules.size(), 1u);
   EXPECT_FALSE(DecodeRouteSignal(kBigIxpAsn, {}, {&lcs.back(), 1}).value().has_value());
@@ -42,9 +50,9 @@ TEST(SignalLargeTest, IgnoresForeignNamespace) {
 
 TEST(SignalLargeTest, RejectsUnknownKindAndOversizedValue) {
   const bgp::LargeCommunity bad_kind{kBigIxpAsn, (0x80u << 24) | 99u, 1};
-  EXPECT_FALSE(DecodeSignalLarge(kBigIxpAsn, {&bad_kind, 1}).ok());
+  EXPECT_FALSE(DecodeLarge(kBigIxpAsn, {&bad_kind, 1}).ok());
   const bgp::LargeCommunity bad_value{kBigIxpAsn, (0x80u << 24) | 2u, 70'000};
-  EXPECT_FALSE(DecodeSignalLarge(kBigIxpAsn, {&bad_value, 1}).ok());
+  EXPECT_FALSE(DecodeLarge(kBigIxpAsn, {&bad_value, 1}).ok());
 }
 
 TEST(SignalLargeTest, WireRoundTripThroughUpdate) {
@@ -58,7 +66,7 @@ TEST(SignalLargeTest, WireRoundTripThroughUpdate) {
   const auto decoded = bgp::Decode(bgp::Encode(u));
   ASSERT_TRUE(decoded.ok());
   const auto& attrs = std::get<bgp::UpdateMessage>(*decoded).attrs;
-  const auto parsed = DecodeSignalLarge(kBigIxpAsn, attrs.large_communities);
+  const auto parsed = DecodeLarge(kBigIxpAsn, attrs.large_communities);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed, signal);
 }
@@ -134,8 +142,8 @@ TEST(SignalLargeTest, LargeCommunitiesStrippedOnMemberExport) {
 TEST(SignalLargeTest, SignalSurvivesAMemberSessionFlap) {
   // A large-community signal goes through MemberRouter::announce like an
   // extended-community one, so connect_resilient replays it when the
-  // member's session re-joins.
-  obs::tracer().clear();
+  // member's session re-joins. The tracer is process-wide and keyed by
+  // prefix, so this test signals a prefix no other test here traces.
   sim::EventQueue queue;
   ixp::Ixp::Config config;
   config.asn = kBigIxpAsn;
@@ -157,12 +165,12 @@ TEST(SignalLargeTest, SignalSurvivesAMemberSessionFlap) {
 
   Signal signal;
   signal.rules.push_back({RuleKind::kUdpSrcPort, net::kPortNtp});
-  SignalAdvancedBlackholing(victim, ixp.route_server(), P4("100.10.10.10/32"), signal);
+  SignalAdvancedBlackholing(victim, ixp.route_server(), P4("100.10.10.33/32"), signal);
   ixp.settle(10.0);
   ASSERT_EQ(stellar.controller().desired().size(), 1u);
   // The signal-path trace opens at the member's announcement, as it does
   // for an extended-community signal.
-  const auto stages = obs::tracer().breakdown("100.10.10.10/32");
+  const auto stages = obs::tracer().breakdown("100.10.10.33/32");
   ASSERT_FALSE(stages.empty());
   EXPECT_EQ(stages.front().stage, "member_announce");
 
@@ -170,11 +178,11 @@ TEST(SignalLargeTest, SignalSurvivesAMemberSessionFlap) {
   ixp.settle(60.0);
   ASSERT_EQ(victim.reconnector()->stats().reconnects, 1u);
   EXPECT_EQ(stellar.controller().desired().size(), 1u);
-  EXPECT_TRUE(ixp.route_server().adj_rib_in().best(P4("100.10.10.10/32")).has_value());
+  EXPECT_TRUE(ixp.route_server().adj_rib_in().best(P4("100.10.10.33/32")).has_value());
   EXPECT_EQ(ixp.edge_router().policy(victim.info().port).rule_count(), 1u);
 
   // The looking glass lists the replayed signal's large communities.
-  const auto lines = ixp::LookingGlass(ixp.route_server()).show_route(P4("100.10.10.10/32"));
+  const auto lines = ixp::LookingGlass(ixp.route_server()).show_route(P4("100.10.10.33/32"));
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_NE(lines[0].find(" large " + std::to_string(kBigIxpAsn) + ":"), std::string::npos)
       << lines[0];

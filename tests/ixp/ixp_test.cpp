@@ -123,12 +123,9 @@ TEST(LookingGlassTest, ShowsRoutesAndStatus) {
   EXPECT_NE(routes[0].find("AS65001"), std::string::npos);
   EXPECT_NE(routes[0].find("65535:666"), std::string::npos);
 
-  const auto summary = lg.show_rib_summary();
-  EXPECT_EQ(summary.size(), 2u);  // /24 and /32.
-
-  const std::string status = lg.show_status();
-  EXPECT_NE(status.find("members=1"), std::string::npos);
-  EXPECT_NE(status.find("established=1"), std::string::npos);
+  EXPECT_EQ(ixp.route_server().adj_rib_in().prefixes().size(), 2u);  // /24 and /32.
+  EXPECT_EQ(ixp.route_server().member_count(), 1u);
+  EXPECT_EQ(ixp.route_server().established_member_sessions(), 1u);
 }
 
 }  // namespace

@@ -53,9 +53,7 @@ TEST(InterdomainFlowspecTest, OnlyAcceptingPeersFilter) {
   EXPECT_EQ(installed, fs.accepting_peers());
   int droppers = 0;
   for (bgp::Asn peer : Peers(100)) {
-    const bool drops = fs.peer_drops(peer, NtpFlow());
-    EXPECT_EQ(drops, fs.peer_accepts(peer));
-    if (drops) ++droppers;
+    if (fs.peer_drops(peer, NtpFlow())) ++droppers;
   }
   EXPECT_EQ(static_cast<std::size_t>(droppers), installed);
 }
@@ -74,19 +72,10 @@ TEST(InterdomainFlowspecTest, RateLimitActionIsNotADrop) {
   for (bgp::Asn peer : Peers(10)) EXPECT_FALSE(fs.peer_drops(peer, NtpFlow()));
 }
 
-TEST(InterdomainFlowspecTest, WithdrawAllStopsFiltering) {
-  InterdomainFlowspec fs(Peers(10), 1.0, 7);
-  fs.announce(NtpRule(), bgp::flowspec::Action{0.0f});
-  ASSERT_TRUE(fs.peer_drops(65001, NtpFlow()));
-  fs.withdraw_all();
-  EXPECT_FALSE(fs.peer_drops(65001, NtpFlow()));
-}
-
 TEST(InterdomainFlowspecTest, UnknownPeerNeverFilters) {
   InterdomainFlowspec fs(Peers(2), 1.0, 7);
   fs.announce(NtpRule(), bgp::flowspec::Action{0.0f});
   EXPECT_FALSE(fs.peer_drops(60'000, NtpFlow()));
-  EXPECT_FALSE(fs.peer_accepts(60'000));
 }
 
 TEST(InterdomainFlowspecTest, UnencodableRuleThrows) {
@@ -98,7 +87,11 @@ TEST(InterdomainFlowspecTest, UnencodableRuleThrows) {
 TEST(InterdomainFlowspecTest, DeterministicAcceptanceBySeed) {
   InterdomainFlowspec a(Peers(100), 0.3, 9);
   InterdomainFlowspec b(Peers(100), 0.3, 9);
-  for (bgp::Asn peer : Peers(100)) EXPECT_EQ(a.peer_accepts(peer), b.peer_accepts(peer));
+  a.announce(NtpRule(), bgp::flowspec::Action{0.0f});
+  b.announce(NtpRule(), bgp::flowspec::Action{0.0f});
+  for (bgp::Asn peer : Peers(100)) {
+    EXPECT_EQ(a.peer_drops(peer, NtpFlow()), b.peer_drops(peer, NtpFlow()));
+  }
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ TEST(RtbhTest, WithdrawRestoresTraffic) {
   TriggerRtbh(*f.victim, P4("100.10.10.10/32"));
   f.ixp->settle(10.0);
   ASSERT_EQ(MeasureCompliance(*f.ixp, P4("100.10.10.10/32"), 65001).honoring, 2u);
-  WithdrawRtbh(*f.victim, P4("100.10.10.10/32"));
+  f.victim->withdraw(P4("100.10.10.10/32"));
   f.ixp->settle(10.0);
   EXPECT_EQ(MeasureCompliance(*f.ixp, P4("100.10.10.10/32"), 65001).honoring, 0u);
 }

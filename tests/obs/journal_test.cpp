@@ -34,16 +34,6 @@ TEST(Journal, CsvEscapesCommasAndNewlines) {
   EXPECT_EQ(std::count(row.begin(), row.end(), ','), 3);
 }
 
-TEST(Journal, JsonlOneLinePerEvent) {
-  Journal j;
-  j.append(1.0, EventKind::kFaultDrop, "link#0", "side=a bytes=19");
-  j.append(2.0, EventKind::kDetectorTriggered, "100.10.10.10", "rules=3");
-  const std::string jsonl = j.jsonl();
-  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 2);
-  EXPECT_NE(jsonl.find("\"kind\":\"fault_drop\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"subject\":\"100.10.10.10\""), std::string::npos);
-}
-
 TEST(Journal, ToStringCoversEveryKind) {
   // snake_case, unique, non-empty for every enumerator.
   const EventKind kinds[] = {
@@ -93,16 +83,6 @@ TEST(Journal, CapacityBoundEvictsOldest) {
   // Oldest retained event is #6.
   EXPECT_EQ(j.events().front().subject, "link#6");
   EXPECT_EQ(j.events().back().subject, "link#9");
-}
-
-TEST(Journal, DisabledJournalDropsAppends) {
-  Journal j;
-  j.set_enabled(false);
-  j.append(1.0, EventKind::kRuleInstalled, "k");
-  EXPECT_TRUE(j.events().empty());
-  j.set_enabled(true);
-  j.append(2.0, EventKind::kRuleInstalled, "k");
-  EXPECT_EQ(j.events().size(), 1u);
 }
 
 TEST(Journal, ClearEmptiesRetainedEvents) {

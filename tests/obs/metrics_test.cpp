@@ -29,13 +29,10 @@ TEST(MetricsRegistry, CounterIncrementsAndReads) {
 TEST(MetricsRegistry, DisarmedRegistryDropsWrites) {
   Registry reg(/*armed=*/false);
   Counter c = reg.counter("test.counter");
-  Gauge g = reg.gauge("test.gauge");
   Histogram h = reg.histogram("test.hist");
   c.inc(10);
-  g.set(3.5);
   h.observe(1.0);
   EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0.0);
   EXPECT_EQ(h.count(), 0u);
   // Re-arming resumes recording on the same handles.
   reg.arm();
@@ -58,8 +55,9 @@ TEST(MetricsRegistry, SameNameSameKindCreatesIndependentInstanceCells) {
 TEST(MetricsRegistry, DuplicateNameWithConflictingKindThrows) {
   Registry reg;
   (void)reg.counter("dup.name");
-  EXPECT_THROW((void)reg.gauge("dup.name"), std::logic_error);
   EXPECT_THROW((void)reg.histogram("dup.name"), std::logic_error);
+  (void)reg.histogram("dup.hist");
+  EXPECT_THROW((void)reg.counter("dup.hist"), std::logic_error);
 }
 
 TEST(MetricsRegistry, HistogramOptionMismatchThrows) {
@@ -75,14 +73,6 @@ TEST(MetricsRegistry, InvalidNamesRejected) {
   EXPECT_THROW((void)reg.counter(""), std::invalid_argument);
   EXPECT_THROW((void)reg.counter("has space"), std::invalid_argument);
   EXPECT_THROW((void)reg.counter("has-dash"), std::invalid_argument);
-}
-
-TEST(MetricsRegistry, GaugeSetAndAdd) {
-  Registry reg;
-  Gauge g = reg.gauge("queue.depth");
-  g.set(5.0);
-  g.add(-2.0);
-  EXPECT_EQ(g.value(), 3.0);
 }
 
 TEST(MetricsRegistry, ExpositionTextFormat) {
@@ -105,29 +95,14 @@ TEST(MetricsRegistry, ExpositionTextFormat) {
 TEST(MetricsRegistry, JsonlSnapshotHasOneLinePerFamily) {
   Registry reg;
   reg.counter("a.one").inc(1);
-  reg.gauge("b.two").set(2.5);
   Histogram h = reg.histogram("c.three");
   h.observe(0.01);
   const std::string jsonl = reg.snapshot_jsonl();
-  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 3);
+  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 2);
   EXPECT_NE(jsonl.find("{\"name\":\"a.one\",\"type\":\"counter\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"value\":1"), std::string::npos);
-  EXPECT_NE(jsonl.find("{\"name\":\"b.two\",\"type\":\"gauge\""), std::string::npos);
   EXPECT_NE(jsonl.find("{\"name\":\"c.three\",\"type\":\"histogram\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"p50\":"), std::string::npos);
-}
-
-TEST(MetricsRegistry, ResetValuesKeepsHandlesValid) {
-  Registry reg;
-  Counter c = reg.counter("x.count");
-  Histogram h = reg.histogram("x.hist");
-  c.inc(9);
-  h.observe(1.0);
-  reg.reset_values();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-  c.inc();
-  EXPECT_EQ(c.value(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -192,7 +167,9 @@ TEST(HistogramData, MergeCombinesCountsSumAndExtrema) {
   HistogramData b(opts);
   for (int i = 1; i <= 100; ++i) a.observe(0.001 * i);  // 0.001 .. 0.1
   for (int i = 1; i <= 100; ++i) b.observe(0.01 * i);   // 0.01 .. 1.0
-  const HistogramData merged = Histogram::Merge(a, b);
+  HistogramData merged(opts);
+  merged.merge(a);
+  merged.merge(b);
   EXPECT_EQ(merged.count(), 200u);
   EXPECT_DOUBLE_EQ(merged.sum(), a.sum() + b.sum());
   EXPECT_DOUBLE_EQ(merged.min(), 0.001);

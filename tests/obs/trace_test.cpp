@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 
 namespace stellar::obs {
@@ -60,18 +59,6 @@ TEST(Tracer, SameTickStagesKeepCausalInsertionOrder) {
   EXPECT_DOUBLE_EQ(stages[2].delta_s, 0.0);
 }
 
-TEST(Tracer, SpanBeginEndRecordsDuration) {
-  Tracer tr;
-  Span span = tr.begin_span("p", "compile", 1.0);
-  EXPECT_TRUE(span.active());
-  span.end(1.5);
-  const auto events = tr.events("p");
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].stage, "compile");
-  EXPECT_DOUBLE_EQ(events[0].start_s, 1.0);
-  EXPECT_DOUBLE_EQ(events[0].end_s, 1.5);
-}
-
 TEST(Tracer, FifoEvictionBeyondMaxTraces) {
   Tracer tr(Tracer::Options{.max_traces = 2, .max_events_per_trace = 64});
   tr.mark("first", "s", 1.0);
@@ -90,14 +77,6 @@ TEST(Tracer, PerTraceEventCapCountsDrops) {
   EXPECT_EQ(tr.dropped_events(), 2u);
 }
 
-TEST(Tracer, EndSpanAfterEvictionIsInert) {
-  Tracer tr(Tracer::Options{.max_traces = 1, .max_events_per_trace = 64});
-  Span span = tr.begin_span("old", "work", 1.0);
-  tr.mark("new", "s", 2.0);  // Evicts "old".
-  span.end(3.0);             // Must not crash or resurrect the trace.
-  EXPECT_TRUE(tr.breakdown("old").empty());
-}
-
 TEST(Tracer, CsvFormat) {
   Tracer tr;
   tr.mark("10.0.0.1/32", "member_announce", 1.25);
@@ -105,38 +84,6 @@ TEST(Tracer, CsvFormat) {
   EXPECT_NE(csv.find("trace,stage,start_s,end_s\n"), std::string::npos);
   EXPECT_NE(csv.find("10.0.0.1/32,member_announce,1.250000000,1.250000000"),
             std::string::npos);
-}
-
-TEST(Tracer, JsonlHasOneLinePerEvent) {
-  Tracer tr;
-  tr.mark("a", "s1", 1.0);
-  tr.mark("a", "s2", 2.0);
-  tr.mark("b", "s1", 3.0);
-  const std::string jsonl = tr.jsonl();
-  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 3);
-  EXPECT_NE(jsonl.find("\"trace\":\"a\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"stage\":\"s2\""), std::string::npos);
-}
-
-TEST(Tracer, DisabledTracerRecordsNothing) {
-  Tracer tr;
-  tr.set_enabled(false);
-  tr.mark("p", "s", 1.0);
-  Span span = tr.begin_span("p", "s2", 2.0);
-  EXPECT_FALSE(span.active());
-  EXPECT_EQ(tr.trace_count(), 0u);
-  tr.set_enabled(true);
-  tr.mark("p", "s", 1.0);
-  EXPECT_EQ(tr.trace_count(), 1u);
-}
-
-TEST(Tracer, ClearDropsAllState) {
-  Tracer tr;
-  tr.mark("p", "s", 1.0);
-  tr.clear();
-  EXPECT_EQ(tr.trace_count(), 0u);
-  EXPECT_EQ(tr.dropped_events(), 0u);
-  EXPECT_TRUE(tr.csv().find("p,") == std::string::npos);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 //   1. EncodeSignal/EncodeSignalLarge silently truncated fractional
 //      shape_rate_mbps to uint32 — a 0.5 Mbps shape request became a drop.
 //      Encoding now rejects non-integral / negative / NaN / overflowing rates.
-//   2. DecodeSignal/DecodeSignalLarge resolved duplicate action communities
+//   2. The decoders of both namespaces resolved duplicate action communities
 //      last-wins — conflicting rates from a mangled or adversarial update were
 //      silently collapsed. Conflicting duplicates are now a decode error;
 //      identical duplicates remain idempotent.
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/signal.hpp"
@@ -29,6 +30,14 @@ const RuleKind kAllKinds[] = {RuleKind::kDropAll,    RuleKind::kProtocol,
                               RuleKind::kUdpSrcPort, RuleKind::kUdpDstPort,
                               RuleKind::kTcpSrcPort, RuleKind::kTcpDstPort,
                               RuleKind::kPredefined};
+
+/// The large namespace alone, through the shipped route decoder: an empty
+/// Signal when the communities carry no Stellar signal.
+util::Result<Signal> DecodeLarge(std::uint32_t ixp_asn, std::span<const bgp::LargeCommunity> lcs) {
+  auto decoded = DecodeRouteSignal(ixp_asn, {}, lcs);
+  if (!decoded.ok()) return decoded.error();
+  return decoded->value_or(Signal{});
+}
 
 /// A random well-formed signal: up to 6 rules, rate absent or a positive
 /// integral Mbps value (the only states the wire format can represent exactly
@@ -76,7 +85,7 @@ TEST_P(SignalRoundTripTest, LargeCommunityCodecRoundTrips) {
     const Signal signal = RandomSignal(rng);
     auto encoded = EncodeSignalLarge(kBigIxp, signal);
     ASSERT_TRUE(encoded.ok()) << encoded.error().message;
-    auto decoded = DecodeSignalLarge(kBigIxp, *encoded);
+    auto decoded = DecodeLarge(kBigIxp, *encoded);
     ASSERT_TRUE(decoded.ok()) << decoded.error().message;
     EXPECT_EQ(*decoded, Normalized(signal));
   }
@@ -131,7 +140,7 @@ TEST(SignalCodecValidationTest, ConflictingDuplicateActionsAreDecodeErrors) {
       {kBigIxp, kStellarLargeActionFunction << 24, 200},
       {kBigIxp, kStellarLargeActionFunction << 24, 500},
   };
-  auto decoded_large = DecodeSignalLarge(kBigIxp, lcs);
+  auto decoded_large = DecodeLarge(kBigIxp, lcs);
   ASSERT_FALSE(decoded_large.ok());
   EXPECT_EQ(decoded_large.error().code, "stellar.signal");
 }
@@ -149,7 +158,7 @@ TEST(SignalCodecValidationTest, IdenticalDuplicateActionsAreIdempotent) {
       {kBigIxp, kStellarLargeActionFunction << 24, 300},
       {kBigIxp, kStellarLargeActionFunction << 24, 300},
   };
-  auto decoded_large = DecodeSignalLarge(kBigIxp, lcs);
+  auto decoded_large = DecodeLarge(kBigIxp, lcs);
   ASSERT_TRUE(decoded_large.ok());
   EXPECT_EQ(decoded_large->shape_rate_mbps, 300.0);
 }

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <sstream>
 
 #include "traffic/generators.hpp"
 #include "util/rng.hpp"
@@ -30,7 +31,13 @@ TEST(TraceIoTest, RoundTripPreservesEverything) {
   samples[1].key.proto = net::IpProto::kTcp;
   samples[1].key.src_port = 50'000;
   samples[1].key.dst_port = 443;
-  const std::string csv = FlowsToCsv(samples);
+  const std::string csv =
+      std::string(kFlowCsvHeader) +
+      "\n0,02:00:00:fd:e9:00,60.1.0.5,100.10.10.10,udp,123,5555,12500000,10416\n"
+      "12.5,02:00:00:fd:e9:00,60.1.0.5,100.10.10.10,tcp,50000,443,6906250,5755\n";
+  std::ostringstream written;
+  WriteFlowCsv(written, samples);
+  EXPECT_EQ(written.str(), csv);
   const auto parsed = FlowsFromCsv(csv);
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   ASSERT_EQ(parsed->size(), samples.size());
@@ -49,7 +56,9 @@ TEST(TraceIoTest, GeneratorOutputRoundTrips) {
   config.target = net::IPv4Address(100, 10, 10, 10);
   WebTrafficGenerator gen(config, sources, 9);
   const auto samples = gen.bin(3.0, 1.0);
-  const auto parsed = FlowsFromCsv(FlowsToCsv(samples));
+  std::ostringstream csv;
+  WriteFlowCsv(csv, samples);
+  const auto parsed = FlowsFromCsv(csv.str());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->size(), samples.size());
 }

@@ -26,18 +26,6 @@ TEST(FormatDoubleTest, FixedPrecision) {
   EXPECT_EQ(FormatDouble(-1.5, 1), "-1.5");
 }
 
-TEST(BarChartTest, ScalesToMax) {
-  const std::string out = BarChart({{"a", 10.0}, {"b", 5.0}}, 10);
-  // "a" gets the full width, "b" half.
-  EXPECT_NE(out.find("a | ########## 10.00"), std::string::npos);
-  EXPECT_NE(out.find("b | ##### 5.00"), std::string::npos);
-}
-
-TEST(BarChartTest, AllZeroProducesNoBars) {
-  const std::string out = BarChart({{"x", 0.0}}, 10);
-  EXPECT_NE(out.find("x | 0.00"), std::string::npos);
-}
-
 TEST(SeriesTableTest, AlignsSeries) {
   const std::string out =
       SeriesTable("t", {0.0, 1.0}, {{"a", {1.0, 2.0}}, {"b", {3.0, 4.0}}}, 1);

@@ -8,9 +8,11 @@
 #   - signal_storm --smoke   : batched control-plane apply >=5x faster than
 #                              per-signal with byte-identical installed rule
 #                              sets (differential assert).
-# and the L-IXP benchmark's self-check (perfbench/run.py --selfcheck): per
+# the L-IXP benchmark's self-check (perfbench/run.py --selfcheck): per
 # workload, observation hooks off, on and traced give byte-identical digests,
-# and a second seed passes every correctness check.
+# and a second seed passes every correctness check; and the dead-code audit
+# (tools/dead_code_audit.sh): the src/ functions no shipped program reaches
+# are exactly the ones tools/dead_code_audit.txt lists with a reason.
 # Every step exits non-zero when its gate fails, so the job fails
 # mechanically. This catches the optimized-build bug class the sanitizer
 # matrix can't: -O2 codegen differences and assert-guarded invariants that a
@@ -34,3 +36,5 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 "$BUILD_DIR"/bench/signal_storm --smoke
 
 python3 perfbench/run.py --selfcheck --seconds 2
+
+tools/dead_code_audit.sh
